@@ -17,7 +17,7 @@ from .gaussian import (EnergySplit, EvolvedGaussian, GaussianProbeSpec,
                        gaussian_qfi, make_probe, mix_modes, photon_moments,
                        spec_from_split)
 from .iss import (IssConfig, IssResult, build_m_matrix, channel_slds, optimize,
-                  pre_qfi, probe_statistics)
+                  probe_statistics)
 from .linalg import EigenSystem, hermitian_eig, hermitianize, solve_sld, trace_norm
 from .measurement import (DetectionScheme, MomentSet, SchemeKind,
                           counting_moments, error_propagation,

@@ -9,15 +9,16 @@ Two probe layouts are supported:
   orthogonal sector, so the output is block diagonal with blocks of
   dimension N-m+1 indexed by the number m of lost photons.
 
-A Kraus operator for m lost photons acts on the coefficient vector as a
-single diagonal stripe: row j of K_m picks coefficient n = j + m with
-amplitude sqrt(binomial_loss_coeff(n, m, eta)) * exp(i n phi).  Parameter
-derivatives are diagonal rescalings of the same stripe.
+Every loss amplitude lives in one (N+1) x (N+1) table indexed by the number
+m of lost photons and the input photon number n:
+T[m, n] = sqrt(binomial_loss_coeff(n, m, eta)) * exp(i n phi), zero for
+n < m.  The Kraus operator K_m maps |n> to T[m, n] |n - m>, so row m of
+T * c holds the post-loss vector K_m c at input photon numbers n >= m.
+Parameter derivatives rescale the table entrywise by generator tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,8 +26,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvalidInput
-
-_LOG_SPACE_THRESHOLD = 60
 
 
 class Scenario(str, Enum):
@@ -92,76 +91,53 @@ class FockProbe:
         return FockProbe.from_amplitudes(scenario, c)
 
 
+def _log_loss_probability(n, m, eta: float):
+    """log of C(n, m) eta^(n-m) (1-eta)^m, broadcast over arrays n and m."""
+    return (gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+            + (n - m) * np.log(eta) + m * np.log1p(-eta))
+
+
 def binomial_loss_coeff(n: int, m: int, eta: float) -> float:
     """Probability C(n, m) eta^(n-m) (1-eta)^m of losing m photons out of n."""
     if m < 0 or m > n:
         raise InvalidInput(f"need 0 <= m <= n, got n={n}, m={m}")
-    if n > _LOG_SPACE_THRESHOLD:
-        log_c = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
-        return float(np.exp(log_c + (n - m) * np.log(eta) + m * np.log1p(-eta)))
-    return float(math.comb(n, m) * eta ** (n - m) * (1.0 - eta) ** m)
+    return float(np.exp(_log_loss_probability(n, m, eta)))
 
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """Kraus stripes for m = 0..N plus diagonal derivative generators.
+    """Kraus family as one (m, n) amplitude table plus its generator tables.
 
-    ``stripes[m][j]`` is the only nonzero entry in row j of K_m, located at
-    column n = j + m.  ``k(m)``, ``dk_phi(m)`` and ``dk_eta(m)`` materialize
-    dense matrices: (N+1) x (N+1) zero padded for the single-mode layout,
-    (N-m+1) x (N+1) for the two-mode layout.
+    ``table[m, n]`` is the amplitude with which K_m maps |n> to |n - m>:
+    sqrt(C(n, m) eta^(n-m) (1-eta)^m) e^{i n phi} for n >= m, zero below.
+    The single-mode layout embeds |n - m> at index n - m of the (N+1)-dim
+    space; the two-mode layout sends it to the orthogonal block m.
     """
 
     scenario: Scenario
     params: ChannelParams
-    stripes: list = field(repr=False)
+    table: np.ndarray = field(repr=False)
 
     @property
     def n_max(self) -> int:
         return self.params.n_max
 
-    def photon_numbers(self, m: int) -> np.ndarray:
-        """Input photon numbers n = m..N indexed by block row."""
-        return np.arange(m, self.n_max + 1)
+    def generators(self):
+        """Generator tables (G_phi, G_eta) with dT/dphi = G_phi T, dT/deta = G_eta T.
 
-    def gamma_phi(self, m: int) -> np.ndarray:
-        """Diagonal of the phase generator: i*n per block row."""
-        return 1j * self.photon_numbers(m)
-
-    def gamma_eta(self, m: int) -> np.ndarray:
-        """Diagonal of the transmissivity generator: (n(1-eta)-m)/(2 eta (1-eta))."""
+        G_phi[m, n] = i n and G_eta[m, n] = (n(1-eta) - m) / (2 eta (1-eta)).
+        """
         eta = self.params.eta
-        n = self.photon_numbers(m)
-        return (n * (1.0 - eta) - m) / (2.0 * eta * (1.0 - eta))
-
-    def _materialize(self, stripe: np.ndarray, m: int) -> np.ndarray:
-        npts = self.n_max + 1
-        d = npts - m
-        rows = npts if self.scenario is Scenario.SINGLE else d
-        k = np.zeros((rows, npts), dtype=complex)
-        k[np.arange(d), np.arange(m, npts)] = stripe
-        return k
-
-    def k(self, m: int) -> np.ndarray:
-        return self._materialize(self.stripes[m], m)
-
-    def dk_phi(self, m: int) -> np.ndarray:
-        return self._materialize(self.gamma_phi(m) * self.stripes[m], m)
-
-    def dk_eta(self, m: int) -> np.ndarray:
-        return self._materialize(self.gamma_eta(m) * self.stripes[m], m)
+        m, n = np.indices(self.table.shape)
+        return 1j * n, (n * (1.0 - eta) - m) / (2.0 * eta * (1.0 - eta))
 
 
 def build_kraus(params: ChannelParams, scenario: Scenario) -> KrausFamily:
     """Kraus family of the phase+loss channel at the given parameter point."""
-    n_max = params.n_max
-    phases = np.exp(1j * params.phi * np.arange(n_max + 1))
-    stripes = []
-    for m in range(n_max + 1):
-        amp = np.array([binomial_loss_coeff(n, m, params.eta)
-                        for n in range(m, n_max + 1)])
-        stripes.append(np.sqrt(amp) * phases[m:])
-    return KrausFamily(scenario, params, stripes)
+    n = np.arange(params.n_max + 1)
+    # below the diagonal (n < m) gammaln(n - m + 1) sits on a pole: log 0 = -inf
+    log_amp = 0.5 * _log_loss_probability(n, n[:, None], params.eta)
+    return KrausFamily(scenario, params, np.exp(log_amp + 1j * params.phi * n))
 
 
 @dataclass(frozen=True)
@@ -182,19 +158,6 @@ class BlockDensity:
     def purity(self) -> float:
         return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
 
-    def dense(self) -> np.ndarray:
-        """Direct sum of the blocks (identity embedding for single mode)."""
-        if self.scenario is Scenario.SINGLE:
-            return self.blocks[0].copy()
-        dim = sum(b.shape[0] for b in self.blocks)
-        out = np.zeros((dim, dim), dtype=complex)
-        at = 0
-        for b in self.blocks:
-            d = b.shape[0]
-            out[at:at + d, at:at + d] = b
-            at += d
-        return out
-
 
 def _check_compatible(probe: FockProbe, kraus: KrausFamily):
     if probe.scenario is not kraus.scenario:
@@ -203,11 +166,13 @@ def _check_compatible(probe: FockProbe, kraus: KrausFamily):
         raise InvalidInput("probe and Kraus family disagree on the photon cutoff")
 
 
-def block_vectors(probe: FockProbe, kraus: KrausFamily) -> list:
-    """Unnormalized post-loss vectors K_m c for m = 0..N."""
+def block_vectors(probe: FockProbe, kraus: KrausFamily) -> np.ndarray:
+    """Unnormalized post-loss vectors K_m c as the (m, n) table T * c.
+
+    Row m holds K_m c at the input photon numbers n = m..N and is zero below.
+    """
     _check_compatible(probe, kraus)
-    c = probe.coeffs
-    return [stripe * c[m:] for m, stripe in enumerate(kraus.stripes)]
+    return kraus.table * probe.coeffs
 
 
 def apply_channel(probe: FockProbe, kraus: KrausFamily) -> BlockDensity:
@@ -215,41 +180,41 @@ def apply_channel(probe: FockProbe, kraus: KrausFamily) -> BlockDensity:
     vecs = block_vectors(probe, kraus)
     n_max = kraus.n_max
     if kraus.scenario is Scenario.TWO:
-        blocks = [np.outer(v, v.conj()) for v in vecs]
+        blocks = [np.outer(v[m:], v[m:].conj()) for m, v in enumerate(vecs)]
         return BlockDensity(Scenario.TWO, n_max, blocks)
     rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for v in vecs:
-        d = len(v)
-        rho[:d, :d] += np.outer(v, v.conj())
+    for m, v in enumerate(vecs):
+        d = n_max + 1 - m
+        rho[:d, :d] += np.outer(v[m:], v[m:].conj())
     return BlockDensity(Scenario.SINGLE, n_max, [rho])
 
 
 def apply_channel_derivatives(probe: FockProbe, kraus: KrausFamily):
     """Parameter derivatives of the channel output, blockwise.
 
-    Each block is (Gamma K) psi psi' K' + h.c. with the diagonal generators
-    of the family, so per-block results stay rank <= 2.
+    Each block is (G K_m c)(K_m c)' + h.c. with the generator tables of the
+    family, so per-block results stay rank <= 2.
     """
     vecs = block_vectors(probe, kraus)
     n_max = kraus.n_max
 
-    def assemble(gammas):
+    def assemble(gens):
+        gvecs = gens * vecs
         if kraus.scenario is Scenario.TWO:
             blocks = []
-            for m, v in enumerate(vecs):
-                gv = gammas(m) * v
-                b = np.outer(gv, v.conj())
+            for m, (v, gv) in enumerate(zip(vecs, gvecs)):
+                b = np.outer(gv[m:], v[m:].conj())
                 blocks.append(b + b.conj().T)
             return BlockDensity(Scenario.TWO, n_max, blocks)
         out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        for m, v in enumerate(vecs):
-            d = len(v)
-            gv = gammas(m) * v
-            b = np.outer(gv, v.conj())
+        for m, (v, gv) in enumerate(zip(vecs, gvecs)):
+            d = n_max + 1 - m
+            b = np.outer(gv[m:], v[m:].conj())
             out[:d, :d] += b + b.conj().T
         return BlockDensity(Scenario.SINGLE, n_max, [out])
 
-    return assemble(kraus.gamma_phi), assemble(kraus.gamma_eta)
+    g_phi, g_eta = kraus.generators()
+    return assemble(g_phi), assemble(g_eta)
 
 
 def beamsplitter_sector(total: int, tau: float, reflect_sign: float = -1.0) -> np.ndarray:

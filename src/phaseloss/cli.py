@@ -40,22 +40,27 @@ OPERATING_PHI = math.pi / 2.0
 
 
 def _parse_angle(token: str) -> float:
-    token = token.strip().lower().replace(" ", "")
-    if "pi" in token:
-        scale = 1.0
-        num, _, den = token.partition("pi")
-        if num.endswith("*"):
-            num = num[:-1]
-        if num in ("", "+"):
-            scale = 1.0
-        elif num == "-":
-            scale = -1.0
+    """A finite float, or a multiple of pi written [a][*]pi[/b] (pi/4, -3pi/2)."""
+    text = token.strip().lower().replace(" ", "")
+    num, has_pi, den = text.partition("pi")
+    try:
+        if not has_pi:
+            value = float(text)
         else:
-            scale = float(num)
-        if den.startswith("/"):
-            scale /= float(den[1:])
-        return scale * math.pi
-    return float(token)
+            num = num[:-1] if num.endswith("*") else num
+            value = {"": 1.0, "+": 1.0, "-": -1.0}.get(num)
+            if value is None:
+                value = float(num)
+            if den:
+                if not den.startswith("/"):
+                    raise ValueError(den)
+                value /= float(den[1:])
+            value *= math.pi
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"malformed number {token!r}") from None
+    if not math.isfinite(value):
+        raise InvalidInput(f"number must be finite, got {token!r}")
+    return value
 
 
 def _parse_floats(text: str):
@@ -63,7 +68,10 @@ def _parse_floats(text: str):
 
 
 def _parse_ints(text: str):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidInput(f"malformed integer list {text!r}") from None
 
 
 def load_config_file(path: str) -> dict:
@@ -136,26 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config_file(args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Parse the file's flags, then the command line's after them: the last
+    occurrence of a flag wins, so every flag given on the command line
+    overrides the file, whatever its value."""
     if not getattr(args, "config", None):
         return args
-    file_values = load_config_file(args.config)
-    parser = build_parser()
-    argv = [args.command]
-    for key, val in file_values.items():
-        argv.extend([f"--{key.replace('_', '-')}", val])
-    base = parser.parse_args(argv)
-    # flags explicitly given on the command line win over the file
-    merged = vars(base)
-    defaults = vars(parser.parse_args([args.command]))
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val != defaults.get(key):
-            merged[key] = val
-    merged["command"] = args.command
-    merged["config"] = args.config
-    return argparse.Namespace(**merged)
+    file_argv = []
+    for key, val in load_config_file(args.config).items():
+        file_argv.extend([f"--{key.replace('_', '-')}", val])
+    return build_parser().parse_args([args.command, *file_argv, *argv[1:]])
 
 
 def _sweep_values(args):
@@ -234,7 +232,9 @@ def cmd_optimize(args):
     def parse_weight(text):
         if text is None:
             return None
-        return math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
+        if text.strip().lower() in ("inf", "infinity"):
+            return math.inf
+        return _parse_angle(text)
 
     weight_phi = parse_weight(args.weight_phi)
     weight_eta = parse_weight(args.weight_eta)
@@ -360,19 +360,21 @@ def cmd_measure(args):
                                  n_for_limits=split.n_total)
         return ev, rep
 
-    fock_cache = {}
+    def fock_output(index, pair):
+        n, eta = pair
+        cfg = IssConfig(restarts=args.restarts, seed=args.seed, max_iters=800,
+                        conv_rel_tol=1e-6)
+        result = optimize(cfg, ChannelParams(OPERATING_PHI, eta, n), Scenario.TWO)
+        kraus = build_kraus(ChannelParams(OPERATING_PHI, eta, n), Scenario.TWO)
+        rho = apply_channel(result.probe, kraus)
+        dphi, deta = apply_channel_derivatives(result.probe, kraus)
+        return rho, dphi, deta, result.final_qfi
 
-    def fock_output(n, eta):
-        key = (n, eta)
-        if key not in fock_cache:
-            cfg = IssConfig(restarts=args.restarts, seed=args.seed, max_iters=800,
-                            conv_rel_tol=1e-6)
-            result = optimize(cfg, ChannelParams(OPERATING_PHI, eta, n), Scenario.TWO)
-            kraus = build_kraus(ChannelParams(OPERATING_PHI, eta, n), Scenario.TWO)
-            rho = apply_channel(result.probe, kraus)
-            dphi, deta = apply_channel_derivatives(result.probe, kraus)
-            fock_cache[key] = (rho, dphi, deta, result.final_qfi)
-        return fock_cache[key]
+    # each distinct (n, eta) is optimized once, before the rows share it
+    fock_outputs = {}
+    if args.probe == "fock" and kind is meas.SchemeKind.COUNTING:
+        pairs = list(dict.fromkeys((n, eta) for n, eta, _, _ in points))
+        fock_outputs = dict(zip(pairs, _run_pool(pairs, fock_output, args.threads)))
 
     def worker(index, point):
         n, eta, tau_out, xi = point
@@ -385,7 +387,7 @@ def cmd_measure(args):
                         "r_scheme": None, "r_h_bar": None, "status": "unsupported"})
             return row
         if args.probe == "fock":
-            rho, dphi, deta, rep = fock_output(n, eta)
+            rho, dphi, deta, rep = fock_outputs[(n, eta)]
             moments = meas.counting_moments(rho, scheme, dphi, deta)
         else:
             ev, rep = gaussian_output(n, eta, xi)
@@ -443,10 +445,11 @@ def cmd_bounds(args):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args)
+        args = _apply_config_file(args, argv)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

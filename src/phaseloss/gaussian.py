@@ -547,14 +547,14 @@ def grid_channel_output(grid: np.ndarray, params: ChannelParams):
     rho = np.zeros((dim, dim), dtype=complex)
     drho_phi = np.zeros_like(rho)
     drho_eta = np.zeros_like(rho)
+    g_phi, g_eta = kraus.generators()
     for m in range(c1 + 1):
-        v = (kraus.stripes[m][:, None] * grid[m:, :])
+        v = (kraus.table[m, m:][:, None] * grid[m:, :])
         flat = np.zeros_like(grid)
         flat[:v.shape[0], :] = v
         vv = flat.reshape(-1)
         rho += np.outer(vv, vv.conj())
-        for g_diag, target in ((kraus.gamma_phi(m), drho_phi),
-                               (kraus.gamma_eta(m), drho_eta)):
+        for g_diag, target in ((g_phi[m, m:], drho_phi), (g_eta[m, m:], drho_eta)):
             gflat = np.zeros_like(grid)
             gflat[:v.shape[0], :] = g_diag[:, None] * v
             gv = gflat.reshape(-1)

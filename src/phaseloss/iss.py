@@ -3,8 +3,8 @@
 One iteration alternates two exact maximizations: (i) for the current probe,
 the optimal quadratic witnesses of each parameter are its SLDs; (ii) for
 fixed witnesses, the optimal probe is the top eigenvector of the effective
-operator M assembled from the Kraus stripes.  Both steps never decrease the
-objective, so the trace of top eigenvalues is monotone.
+operator M assembled from the (m, n) Kraus table.  Both steps never decrease
+the objective, so the trace of top eigenvalues is monotone.
 
 Weights are the per-parameter normalizers; numpy.inf drops a parameter
 (single-parameter optimization).  With the default weights the objective is
@@ -90,26 +90,6 @@ def channel_slds(probe: FockProbe, kraus: KrausFamily,
     return l_phi, l_eta
 
 
-def pre_qfi(probe: FockProbe, a, kraus: KrausFamily, which: str) -> float:
-    """Quadratic information witness 2 Tr(drho A) - Tr(rho A^2).
-
-    Maximized over Hermitian A exactly by the SLD of ``which`` ("phi" or
-    "eta"), where it equals that parameter's QFI.  ``a`` is dense for the
-    single-mode layout, a list of blocks for the two-mode one.
-    """
-    if which not in ("phi", "eta"):
-        raise InvalidInput("which must be 'phi' or 'eta'")
-    rho = apply_channel(probe, kraus)
-    dphi, deta = apply_channel_derivatives(probe, kraus)
-    drho = dphi if which == "phi" else deta
-    blocks_a = [a] if kraus.scenario is Scenario.SINGLE else a
-    total = 0.0
-    for rho_b, drho_b, a_b in zip(rho.blocks, drho.blocks, blocks_a):
-        total += 2.0 * np.trace(drho_b @ a_b).real
-        total -= np.trace(rho_b @ a_b @ a_b).real
-    return float(total)
-
-
 def _resolve_weights(config: IssConfig, params: ChannelParams):
     lim = _bounds.fundamental_limits(params.n_max, params.eta)
     w_phi = config.weight_phi if config.weight_phi is not None else lim.f_phi_max_s12
@@ -129,79 +109,60 @@ def build_m_matrix(probe: FockProbe, slds, kraus: KrausFamily, weights) -> np.nd
     l_phi, l_eta = slds
     n_pts = kraus.n_max + 1
     m_mat = np.zeros((n_pts, n_pts), dtype=complex)
-    for which, l_op, w in (("phi", l_phi, weights[0]), ("eta", l_eta, weights[1])):
+    for l_op, gens, w in zip((l_phi, l_eta), kraus.generators(), weights):
         if math.isinf(w):
             continue
         if kraus.scenario is Scenario.SINGLE:
             l_sq = l_op @ l_op
-            for m in range(n_pts):
-                d = n_pts - m
-                g = kraus.gamma_phi(m) if which == "phi" else kraus.gamma_eta(m)
-                x = (2.0 * np.conj(g)[:, None] * l_op[:d, :d]
-                     + 2.0 * l_op[:d, :d] * g[None, :]
-                     - l_sq[:d, :d])
-                s = kraus.stripes[m]
-                m_mat[m:, m:] += (np.conj(s)[:, None] * x * s[None, :]) / w
-        else:
-            for m in range(n_pts):
-                d = n_pts - m
-                g = kraus.gamma_phi(m) if which == "phi" else kraus.gamma_eta(m)
+        for m in range(n_pts):
+            d = n_pts - m
+            g = gens[m, m:]
+            if kraus.scenario is Scenario.SINGLE:
+                l_b, l_b_sq = l_op[:d, :d], l_sq[:d, :d]
+            else:
                 l_b = l_op[m]
-                x = (2.0 * np.conj(g)[:, None] * l_b
-                     + 2.0 * l_b * g[None, :]
-                     - l_b @ l_b)
-                s = kraus.stripes[m]
-                m_mat[m:, m:] += (np.conj(s)[:, None] * x * s[None, :]) / w
+                l_b_sq = l_b @ l_b
+            x = 2.0 * np.conj(g)[:, None] * l_b + 2.0 * l_b * g[None, :] - l_b_sq
+            s = kraus.table[m, m:]
+            m_mat[m:, m:] += (np.conj(s)[:, None] * x * s[None, :]) / w
     return hermitianize(m_mat)
 
 
 def _fast_m_two_mode(coeffs: np.ndarray, kraus: KrausFamily, weights) -> np.ndarray:
-    """M for the two-mode layout from pure-block vectors only (no dense SLDs)."""
+    """M for the two-mode layout as one array expression over (m, n).
+
+    With B = |T|^2, row m of B c (entrywise) is K_m' K_m c, the probe's block
+    vector psi_m lifted back to the input space.  Per parameter, block m of
+    M is a 4x4 Hermitian combination of the lifted vectors B c, G B c,
+    conj(G) B c and |G|^2 B c, weighted by q = |psi_m|^2, <psi_m, G psi_m>
+    and |G psi_m|^2; blocks that lost all weight (q < 1e-300) drop out.
+    """
     n_pts = kraus.n_max + 1
+    b = np.abs(kraus.table) ** 2
+    bc = b * coeffs
+    p = b * np.abs(coeffs) ** 2                 # |psi_m|^2 entrywise
+    q = p.sum(axis=1)
+    live = q >= 1e-300
+    q = np.where(live, q, 1.0)
     m_mat = np.zeros((n_pts, n_pts), dtype=complex)
-    # slot batching: stack lifted left/right vectors and multiply once per term
-    lefts = [[] for _ in range(10)]
-    rights = [[] for _ in range(10)]
-    for which, w in (("phi", weights[0]), ("eta", weights[1])):
+    for g, w in zip(kraus.generators(), weights):
         if math.isinf(w):
             continue
-        for m in range(n_pts):
-            s = kraus.stripes[m]
-            psi = s * coeffs[m:]
-            q = float(np.vdot(psi, psi).real)
-            if q < 1e-300:
-                continue
-            g = kraus.gamma_phi(m) if which == "phi" else kraus.gamma_eta(m)
-            a = g * psi
-            gbar = np.conj(g)
-            b = gbar * a
-            c = gbar * psi
-            pa = complex(np.vdot(psi, a))       # <psi, a>
-            t = 2.0 * pa.real
-            norm_a = float(np.vdot(a, a).real)
-            sb = np.conj(s)
-
-            def lift(vec):
-                out = np.zeros(n_pts, dtype=complex)
-                out[m:] = sb * vec
-                return out
-
-            pairs = [
-                (4.0 / q, b, psi), (4.0 / q, c, a), (-2.0 * t / q ** 2, c, psi),
-                (4.0 / q, a, c), (4.0 / q, psi, b), (-2.0 * t / q ** 2, psi, c),
-                (-4.0 / q, a, a),
-                (-2.0 * (2.0 * pa - t) / q ** 2, a, psi),
-                (-2.0 * (2.0 * np.conj(pa) - t) / q ** 2, psi, a),
-                (-(4.0 * norm_a - t ** 2 / q) / q ** 2, psi, psi),
-            ]
-            for slot, (coef, u, v) in enumerate(pairs):
-                lefts[slot].append((coef / w) * lift(u))
-                rights[slot].append(lift(v))
-    for slot in range(10):
-        if lefts[slot]:
-            lmat = np.array(lefts[slot]).T
-            rmat = np.array(rights[slot]).T
-            m_mat += lmat @ rmat.conj().T
+        g_sq = np.abs(g) ** 2
+        pa = (g * p).sum(axis=1)                # <psi, G psi>
+        t = 2.0 * pa.real
+        norm_a = (g_sq * p).sum(axis=1)         # |G psi|^2
+        coef = np.zeros((n_pts, 4, 4), dtype=complex)
+        coef[:, 3, 0] = coef[:, 0, 3] = coef[:, 2, 1] = coef[:, 1, 2] = 4.0 / q
+        coef[:, 1, 1] = -4.0 / q
+        coef[:, 2, 0] = coef[:, 0, 2] = -2.0 * t / q ** 2
+        coef[:, 1, 0] = -2.0 * (2.0 * pa - t) / q ** 2
+        coef[:, 0, 1] = np.conj(coef[:, 1, 0])
+        coef[:, 0, 0] = -(4.0 * norm_a - t ** 2 / q) / q ** 2
+        coef[~live] = 0.0
+        lifted = np.stack([bc, g * bc, np.conj(g) * bc, g_sq * bc])
+        right = np.einsum("mkl,lmn->kmn", coef / w, lifted.conj())
+        m_mat += lifted.reshape(-1, n_pts).T @ right.reshape(-1, n_pts)
     return hermitianize(m_mat)
 
 

@@ -16,9 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import BlockDensity, Scenario, beamsplitter_sector
+from .channel import BlockDensity, ChannelParams, Scenario, beamsplitter_sector
 from .errors import InvalidInput, Unsupported
-from .gaussian import EvolvedGaussian, GaussianState, number_covariance
+from .gaussian import (EnergySplit, EvolvedGaussian, GaussianState, ProbeFamily,
+                       evolve_with_derivatives, make_probe, number_covariance,
+                       spec_from_split)
 
 _COV_RANK_TOL = 1e-12
 
@@ -237,9 +239,6 @@ def half_photon_counting(n_total: float, eta: float, p: float = 0.5,
     only, so its variance is doubled in the cost accounting.  Returns
     (var_phi, var_eta).
     """
-    from .gaussian import (EnergySplit, ProbeFamily, evolve_with_derivatives,
-                           make_probe, spec_from_split)
-
     split = EnergySplit(n_total / 2.0, p=p, q=q)
     tau_in = split.tau_in()    # counting needs some reference light in both arms
     out = []
@@ -248,16 +247,11 @@ def half_photon_counting(n_total: float, eta: float, p: float = 0.5,
         spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=mu, theta=theta,
                                theta1=theta1, theta2=mu * 2, chi=chi, tau_in=tau_in)
         ev = evolve_with_derivatives(make_probe(spec),
-                                     _channel_params(phi_op, eta), tau_in)
+                                     ChannelParams(phi_op, eta, 1), tau_in)
         moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING,
                                                        tau_out=tau_out))
         out.append(2.0 * error_propagation(moments)[pick])
     return out[0], out[1]
-
-
-def _channel_params(phi, eta):
-    from .channel import ChannelParams
-    return ChannelParams(phi, eta, 1)
 
 
 def scheme_incompatibility(var_phi: float, var_eta: float, c_s: float, limits) -> float:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .channel import (BlockDensity, ChannelParams, FockProbe, Scenario,
-                      apply_channel, apply_channel_derivatives, build_kraus)
+from .channel import (BlockDensity, ChannelParams, FockProbe, KrausFamily,
+                      Scenario, apply_channel, apply_channel_derivatives,
+                      block_vectors, build_kraus)
 from .errors import InvalidInput, InvalidState, SingularInformation
 from .linalg import DEFAULT_RANK_TOL, hermitian_eig, solve_sld
 
@@ -46,12 +47,6 @@ class QfiReport:
 def _pure_block_slds(rho_b: np.ndarray, drho_b: np.ndarray, q: float) -> np.ndarray:
     """SLD of an unnormalized pure block: (2/q) drho - (tr drho / q^2) rho."""
     return (2.0 / q) * drho_b - (np.trace(drho_b).real / q ** 2) * rho_b
-
-
-def _block_pairs(rho: BlockDensity, drho: BlockDensity):
-    if rho.scenario is not drho.scenario or rho.n_max != drho.n_max:
-        raise InvalidInput("density and derivative layouts disagree")
-    return zip(rho.blocks, drho.blocks)
 
 
 def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity,
@@ -98,33 +93,34 @@ def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity
     return QfiReport(f=f, i_phieta=i_pe)
 
 
-def pure_block_report(psis, gamma_phis, gamma_etas) -> QfiReport:
-    """QFI report from unnormalized pure block vectors and diagonal generators.
+def pure_block_report(probe: FockProbe, kraus: KrausFamily) -> QfiReport:
+    """QFI report of a two-mode probe from its pure block vectors.
 
-    Equivalent to qfi_matrix on the corresponding block densities, but linear
-    in the block dimension; used by the see-saw optimizer at large cutoffs.
+    Row m of T * c is the unnormalized block vector psi_m, and each SLD acts
+    on it as L psi = 2 G psi + (2 <psi, G psi>^* - 2 Re <psi, G psi>) psi / q
+    with q = |psi|^2 and G the generator table, so no block density is ever
+    formed.  channel_report uses this route for the two-mode layout, and
+    through it the see-saw optimizer reports its final probe.
     """
-    def apply_sld(psi, g, q):
-        # L psi for L = (2/q)(g psi psi' + psi (g psi)') - (tr/q^2) psi psi'
-        gpsi = g * psi
-        overlap = np.vdot(psi, gpsi)
-        return 2.0 * gpsi + (2.0 * np.conj(overlap) - 2.0 * overlap.real) / q * psi
-
-    f = np.zeros((2, 2))
-    i_pe = 0.0 + 0.0j
-    for psi, g_phi, g_eta in zip(psis, gamma_phis, gamma_etas):
-        q = float(np.vdot(psi, psi).real)
-        if q < _BLOCK_FLOOR:
-            continue
-        lp = apply_sld(psi, g_phi, q)
-        le = apply_sld(psi, g_eta, q)
-        f[0, 0] += np.vdot(lp, lp).real
-        f[1, 1] += np.vdot(le, le).real
-        z = np.vdot(le, lp)
-        f[0, 1] += z.real
-        i_pe += 1j * z.imag
-    f[1, 0] = f[0, 1]
-    return QfiReport(f=f, i_phieta=i_pe)
+    if kraus.scenario is not Scenario.TWO:
+        raise InvalidInput("pure blocks need the two-mode layout")
+    psi = block_vectors(probe, kraus)
+    p = np.abs(psi) ** 2
+    q = p.sum(axis=1)
+    if abs(q.sum() - 1.0) > _TRACE_TOL:
+        raise InvalidState(f"density trace {q.sum()} is not 1")
+    live = q >= _BLOCK_FLOOR
+    psi, p, q = psi[live], p[live], q[live]
+    l_psi = []
+    for g in kraus.generators():
+        g = g[live]
+        overlap = (g * p).sum(axis=1)
+        shift = (2.0 * np.conj(overlap) - 2.0 * overlap.real) / q
+        l_psi.append(2.0 * g * psi + shift[:, None] * psi)
+    lp, le = l_psi
+    z = np.vdot(le, lp)
+    f = np.array([[np.vdot(lp, lp).real, z.real], [z.real, np.vdot(le, le).real]])
+    return QfiReport(f=f, i_phieta=1j * z.imag)
 
 
 def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
@@ -187,17 +183,22 @@ def complete_report(report: QfiReport, w: np.ndarray) -> QfiReport:
 
 
 def channel_report(probe: FockProbe, params: ChannelParams,
-                   rank_tol: float = DEFAULT_RANK_TOL, method: str = "auto",
+                   rank_tol: float = DEFAULT_RANK_TOL,
                    w: np.ndarray = None) -> QfiReport:
     """End-to-end report for a number-state probe through the channel.
 
+    Two-mode probes take the block-vector route of pure_block_report; the
+    mixed single-mode output is solved in its eigenbasis with ``rank_tol``.
     The default weight matrix is diag of the single-parameter channel optima
     at the probe's photon budget.
     """
     kraus = build_kraus(params, probe.scenario)
-    rho = apply_channel(probe, kraus)
-    dphi, deta = apply_channel_derivatives(probe, kraus)
-    report = qfi_matrix(rho, dphi, deta, rank_tol=rank_tol, method=method)
+    if probe.scenario is Scenario.TWO:
+        report = pure_block_report(probe, kraus)
+    else:
+        rho = apply_channel(probe, kraus)
+        dphi, deta = apply_channel_derivatives(probe, kraus)
+        report = qfi_matrix(rho, dphi, deta, rank_tol=rank_tol)
     if w is None:
         lim = _bounds.fundamental_limits(probe.n_max, params.eta)
         w = np.diag([lim.f_phi_max_s12, lim.f_eta_max])

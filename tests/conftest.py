@@ -4,16 +4,65 @@ import math
 
 import numpy as np
 
-from phaseloss.channel import ChannelParams, apply_channel, build_kraus
+from phaseloss.channel import (ChannelParams, Scenario, apply_channel,
+                               apply_channel_derivatives, build_kraus)
 from phaseloss.gaussian import fock_truncation, grid_channel_output, mix_modes
 from phaseloss.linalg import hermitian_eig
+
+
+def kraus_matrix(kraus, m, which=None):
+    """Dense K_m, or its derivative along ``which`` ("phi" or "eta").
+
+    (N+1) x (N+1) zero padded for the single-mode layout, (N-m+1) x (N+1)
+    for the two-mode layout: row j holds the table entry at column n = j + m.
+    """
+    table = kraus.table
+    if which is not None:
+        table = kraus.generators()[("phi", "eta").index(which)] * table
+    npts = kraus.n_max + 1
+    d = npts - m
+    rows = npts if kraus.scenario is Scenario.SINGLE else d
+    k = np.zeros((rows, npts), dtype=complex)
+    k[np.arange(d), np.arange(m, npts)] = table[m, m:]
+    return k
+
+
+def dense(density):
+    """Direct sum of the blocks of a BlockDensity (the block itself for single mode)."""
+    if density.scenario is Scenario.SINGLE:
+        return density.blocks[0].copy()
+    dim = sum(b.shape[0] for b in density.blocks)
+    out = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for b in density.blocks:
+        d = b.shape[0]
+        out[at:at + d, at:at + d] = b
+        at += d
+    return out
+
+
+def pre_qfi(probe, a, kraus, which):
+    """Quadratic information witness 2 Tr(drho A) - Tr(rho A^2).
+
+    Maximized over Hermitian A exactly by the SLD of ``which`` ("phi" or
+    "eta"), where it equals that parameter's QFI.  ``a`` is dense for the
+    single-mode layout, a list of blocks for the two-mode one.
+    """
+    rho = apply_channel(probe, kraus)
+    drho = apply_channel_derivatives(probe, kraus)[("phi", "eta").index(which)]
+    blocks_a = [a] if kraus.scenario is Scenario.SINGLE else a
+    total = 0.0
+    for rho_b, drho_b, a_b in zip(rho.blocks, drho.blocks, blocks_a):
+        total += 2.0 * np.trace(drho_b @ a_b).real
+        total -= np.trace(rho_b @ a_b @ a_b).real
+    return float(total)
 
 
 def finite_diff_output(probe, phi, eta, n_max, which, delta=1e-5):
     """Central-difference derivative of the channel output (dense form)."""
     def dense_at(p, e):
         kraus = build_kraus(ChannelParams(p, e, n_max), probe.scenario)
-        return apply_channel(probe, kraus).dense()
+        return dense(apply_channel(probe, kraus))
 
     if which == "phi":
         hi, lo = dense_at(phi + delta, eta), dense_at(phi - delta, eta)

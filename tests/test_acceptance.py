@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fock_oracle_qfi, random_two_mode_spec, single_mode_phase_qfi
+from conftest import (fock_oracle_qfi, kraus_matrix, random_two_mode_spec,
+                      single_mode_phase_qfi)
 from phaseloss.bounds import fundamental_limits, probe_incomp_bound
 from phaseloss.channel import ChannelParams, FockProbe, Scenario, build_kraus
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily, Regime,
@@ -93,11 +94,11 @@ def test_criterion_04_kraus_derivatives():
                 plus_eta = build_kraus(ChannelParams(phi, eta + delta, n), scenario)
                 minus_eta = build_kraus(ChannelParams(phi, eta - delta, n), scenario)
                 for m in range(n + 1):
-                    num_phi = (plus_phi.k(m) - minus_phi.k(m)) / (2 * delta)
-                    num_eta = (plus_eta.k(m) - minus_eta.k(m)) / (2 * delta)
+                    num_phi = (kraus_matrix(plus_phi, m) - kraus_matrix(minus_phi, m)) / (2 * delta)
+                    num_eta = (kraus_matrix(plus_eta, m) - kraus_matrix(minus_eta, m)) / (2 * delta)
                     worst = max(worst,
-                                np.abs(num_phi - kraus.dk_phi(m)).max(),
-                                np.abs(num_eta - kraus.dk_eta(m)).max())
+                                np.abs(num_phi - kraus_matrix(kraus, m, "phi")).max(),
+                                np.abs(num_eta - kraus_matrix(kraus, m, "eta")).max())
     verdict(worst < 1e-6, "criterion 4 (analytic Kraus derivatives)",
             f"worst abs err {worst:.2e}")
 

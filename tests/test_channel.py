@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import finite_diff_output
+from conftest import dense, finite_diff_output, kraus_matrix
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
                                binomial_loss_coeff, build_kraus)
@@ -21,12 +22,39 @@ def test_binomial_normalization(n):
 
 
 def test_binomial_log_space_continuity():
-    # values on both sides of the log-space switch agree with each other
+    # neighbouring rows n = 60 and 61 agree with each other
     eta = 0.73
     for m in (0, 5, 30):
         direct = binomial_loss_coeff(60, m, eta)
         ratio = binomial_loss_coeff(61, m, eta) / direct
         assert 0.0 < ratio < 2.0
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+def test_loss_table_matches_high_precision_oracle(eta):
+    # |T[m, n]|^2 and binomial_loss_coeff against 40-digit binomials: every
+    # entry of the rows n = 55..65, plus random entries and the bulk of the
+    # distribution of random rows up to n = 3000
+    n_max = 3000
+    probs = np.abs(build_kraus(ChannelParams(0.0, eta, n_max), Scenario.TWO).table) ** 2
+    rng = np.random.default_rng(11)
+    pairs = [(n, m) for n in range(55, 66) for m in range(n + 1)]
+    for n in rng.integers(66, n_max + 1, size=40):
+        centre, width = (1 - eta) * n, 6 * np.sqrt(n * eta * (1 - eta)) + 2
+        low, high = max(0, int(centre - width)), min(n, int(centre + width))
+        pairs += [(int(n), int(m)) for m in rng.integers(low, high + 1, size=5)]
+        pairs.append((int(n), int(rng.integers(0, n + 1))))
+    checked = 0
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eta)
+        for n, m in pairs:
+            exact = mpmath.binomial(n, m) * e ** (n - m) * (1 - e) ** m
+            if exact < 1e-300:
+                continue
+            for value in (probs[m, n], binomial_loss_coeff(n, m, eta)):
+                assert abs(value / exact - 1) <= 1e-10, (n, m, value, exact)
+            checked += 1
+    assert checked > 500
 
 
 def test_binomial_rejects_bad_m():
@@ -45,15 +73,15 @@ def test_params_validation():
 def test_kraus_completeness(scenario):
     params = ChannelParams(1.234, 0.41, 9)
     kraus = build_kraus(params, scenario)
-    total = sum(kraus.k(m).conj().T @ kraus.k(m) for m in range(10))
+    total = sum(kraus_matrix(kraus, m).conj().T @ kraus_matrix(kraus, m) for m in range(10))
     np.testing.assert_allclose(total, np.eye(10), atol=1e-10)
 
 
 def test_kraus_low_order_entries():
     kraus = build_kraus(ChannelParams(0.9, 0.6, 1), Scenario.SINGLE)
-    k0 = kraus.k(0)
+    k0 = kraus_matrix(kraus, 0)
     np.testing.assert_allclose(np.diag(k0), [1.0, np.sqrt(0.6) * np.exp(0.9j)], atol=1e-14)
-    k1 = kraus.k(1)
+    k1 = kraus_matrix(kraus, 1)
     assert abs(abs(k1[0, 1]) - np.sqrt(0.4)) < 1e-14
     assert abs(k1).sum() == pytest.approx(abs(k1[0, 1]))
 
@@ -68,10 +96,10 @@ def test_kraus_derivatives_match_finite_differences(scenario):
     k_eta_p = build_kraus(ChannelParams(0.7, 0.37 + delta, 8), scenario)
     k_eta_m = build_kraus(ChannelParams(0.7, 0.37 - delta, 8), scenario)
     for m in range(9):
-        num_phi = (k_phi_p.k(m) - k_phi_m.k(m)) / (2 * delta)
-        num_eta = (k_eta_p.k(m) - k_eta_m.k(m)) / (2 * delta)
-        assert np.abs(num_phi - kraus.dk_phi(m)).max() < 1e-6
-        assert np.abs(num_eta - kraus.dk_eta(m)).max() < 1e-6
+        num_phi = (kraus_matrix(k_phi_p, m) - kraus_matrix(k_phi_m, m)) / (2 * delta)
+        num_eta = (kraus_matrix(k_eta_p, m) - kraus_matrix(k_eta_m, m)) / (2 * delta)
+        assert np.abs(num_phi - kraus_matrix(kraus, m, "phi")).max() < 1e-6
+        assert np.abs(num_eta - kraus_matrix(kraus, m, "eta")).max() < 1e-6
 
 
 def test_single_photon_output():
@@ -134,7 +162,7 @@ def test_two_mode_block_eigenvalues_union():
     rho = apply_channel(probe, build_kraus(ChannelParams(0.2, 0.6, n), Scenario.TWO))
     block_eigs = np.sort(np.concatenate(
         [np.linalg.eigvalsh(b) for b in rho.blocks]))
-    dense_eigs = np.sort(np.linalg.eigvalsh(rho.dense()))
+    dense_eigs = np.sort(np.linalg.eigvalsh(dense(rho)))
     np.testing.assert_allclose(block_eigs, dense_eigs, atol=1e-12)
 
 
@@ -147,8 +175,8 @@ def test_output_derivatives_match_finite_differences(scenario):
     dphi, deta = apply_channel_derivatives(probe, kraus)
     num_phi = finite_diff_output(probe, phi, eta, n, "phi")
     num_eta = finite_diff_output(probe, phi, eta, n, "eta")
-    assert np.abs(dphi.dense() - num_phi).max() < 1e-6
-    assert np.abs(deta.dense() - num_eta).max() < 1e-6
+    assert np.abs(dense(dphi) - num_phi).max() < 1e-6
+    assert np.abs(dense(deta) - num_eta).max() < 1e-6
 
 
 def test_derivative_traces():

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import math
+import threading
+import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from phaseloss.cli import main
+import phaseloss.cli
+from phaseloss.cli import _parse_angle, main
 
 
 def run_cli(argv):
@@ -171,3 +176,57 @@ def test_threads_deterministic_ordering():
     _, serial, _ = run_cli(args + ["--threads", "1"])
     _, parallel, _ = run_cli(args + ["--threads", "4"])
     assert serial == parallel
+
+
+@pytest.mark.parametrize("token, value", [
+    ("pi/4", math.pi / 4), ("-pi", -math.pi), ("3pi/2", 1.5 * math.pi),
+    ("0.5*pi", 0.5 * math.pi), ("+pi/2", math.pi / 2), ("1e-3", 1e-3), (" 2 ", 2.0)])
+def test_parse_angle_accepts_numbers_and_pi_multiples(token, value):
+    assert _parse_angle(token) == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "1e4", "--eta", "0.5"],
+    ["bounds", "--n", "10", "--eta", "0.5x"],
+    ["gaussian-scan", "--n", "100", "--eta", "0.1", "--chi", "3/4pi"],
+    ["gaussian-scan", "--n", "100", "--eta", "0.1", "--chi", "pi*2"],
+    ["gaussian-scan", "--n", "100", "--eta", "0.1", "--chi", "pi/0"],
+    ["gaussian-scan", "--n", "100", "--eta", "0.1", "--chi", "2pipi"],
+    ["measure", "--n", "100", "--eta", "0.1", "--tau-out", "0.5,one"],
+    ["optimize", "--n", "2", "--eta", "0.5", "--weight-phi", "heavy"]])
+def test_malformed_numbers_exit_with_config_error(argv):
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert "config error" in err
+
+
+def test_explicit_flag_equal_to_default_overrides_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=10\neta=0.5\nseed=5\n")
+    code, out, _ = run_cli(["bounds", "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["meta"]["seed"] == 5
+    code, out, _ = run_cli(["bounds", "--config", str(cfg), "--seed", "0",
+                            "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["meta"]["seed"] == 0
+
+
+def test_measure_fock_optimizes_each_point_once(monkeypatch):
+    calls = Counter()
+    lock = threading.Lock()
+    real_optimize = phaseloss.cli.optimize
+
+    def counting_optimize(config, params, scenario):
+        with lock:
+            calls[(params.n_max, params.eta)] += 1
+        time.sleep(0.2)
+        return real_optimize(config, params, scenario)
+
+    monkeypatch.setattr(phaseloss.cli, "optimize", counting_optimize)
+    code, out, _ = run_cli(["measure", "--n", "4", "--eta", "0.3,0.5", "--scheme", "counting",
+                            "--probe", "fock", "--tau-out", "0.25,0.5,1", "--restarts", "1",
+                            "--threads", "4"])
+    assert code == 0
+    assert len(read_csv(out)) == 6
+    assert calls == {(4, 0.3): 1, (4, 0.5): 1}

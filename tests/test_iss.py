@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import kraus_matrix, pre_qfi
 from phaseloss.channel import ChannelParams, FockProbe, Scenario, build_kraus
 from phaseloss.iss import (IssConfig, build_m_matrix, channel_slds, optimize,
-                           pre_qfi, probe_statistics)
+                           probe_statistics)
 from phaseloss.iss import _fast_m_two_mode
 from phaseloss.linalg import hermitianize
 from phaseloss.qfi import channel_report
@@ -25,7 +26,7 @@ def test_pre_qfi_at_sld_equals_qfi():
 def test_pre_qfi_zero_witness():
     probe = FockProbe.fock(Scenario.TWO, 2, 4)
     kraus = build_kraus(ChannelParams(0.0, 0.5, 4), Scenario.TWO)
-    zeros = [np.zeros_like(k @ k.T) for k in (kraus.k(m) for m in range(5))]
+    zeros = [np.zeros_like(k @ k.T) for k in (kraus_matrix(kraus, m) for m in range(5))]
     assert pre_qfi(probe, zeros, kraus, "phi") == 0.0
 
 
@@ -60,15 +61,18 @@ def test_m_matrix_rayleigh_quotient():
         assert rayleigh == pytest.approx(expected, rel=1e-10)
 
 
-def test_fast_two_mode_m_matches_dense():
+@pytest.mark.parametrize("n, weights", [
+    (8, (1.7, 0.9)),
+    (5, (1.7, np.inf)), (40, (1.7, 0.9)), (40, (np.inf, 0.9)),
+    (120, (1.7, 0.9)), (120, (1.7, np.inf))])
+def test_fast_two_mode_m_matches_dense(n, weights):
     rng = np.random.default_rng(3)
-    n = 8
     params = ChannelParams(0.5, 0.47, n)
     kraus = build_kraus(params, Scenario.TWO)
     probe = FockProbe.random(Scenario.TWO, n, rng)
     slds = channel_slds(probe, kraus)
-    dense = build_m_matrix(probe, slds, kraus, (1.7, 0.9))
-    fast = _fast_m_two_mode(probe.coeffs, kraus, (1.7, 0.9))
+    dense = build_m_matrix(probe, slds, kraus, weights)
+    fast = _fast_m_two_mode(probe.coeffs, kraus, weights)
     np.testing.assert_allclose(fast, dense, atol=1e-10 * np.abs(dense).max())
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import dense_qfi, pure_state_phase_qfi
+from conftest import dense, dense_qfi, pure_state_phase_qfi
 from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
-                               apply_channel_derivatives, block_vectors, build_kraus)
+                               apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput, SingularInformation
 from phaseloss.qfi import (QfiReport, channel_report, complete_report, hcrb_upper,
                            meas_quantifiers, probe_quantifier, pure_block_report,
@@ -74,7 +74,7 @@ def test_qfi_matches_dense_reference():
     probe = FockProbe.random(Scenario.TWO, 6, rng)
     rho, dphi, deta = output_triple(probe, ChannelParams(0.8, 0.35, 6))
     rep = qfi_matrix(rho, dphi, deta)
-    f_ref, i_ref = dense_qfi(rho.dense(), dphi.dense(), deta.dense())
+    f_ref, i_ref = dense_qfi(dense(rho), dense(dphi), dense(deta))
     np.testing.assert_allclose(rep.f, f_ref, atol=1e-9 * max(1.0, np.abs(f_ref).max()))
     assert abs(rep.i_phieta - i_ref) < 1e-9 * max(1.0, abs(i_ref))
 
@@ -83,14 +83,24 @@ def test_pure_block_report_path():
     rng = np.random.default_rng(4)
     probe = FockProbe.random(Scenario.TWO, 7, rng)
     params = ChannelParams(0.2, 0.6, 7)
-    kraus = build_kraus(params, Scenario.TWO)
-    vecs = block_vectors(probe, kraus)
-    rep_v = pure_block_report(vecs, [kraus.gamma_phi(m) for m in range(8)],
-                              [kraus.gamma_eta(m) for m in range(8)])
+    rep_v = pure_block_report(probe, build_kraus(params, Scenario.TWO))
     rho, dphi, deta = output_triple(probe, params)
     rep_d = qfi_matrix(rho, dphi, deta)
     np.testing.assert_allclose(rep_v.f, rep_d.f, atol=1e-10 * max(1.0, np.abs(rep_d.f).max()))
     assert abs(rep_v.i_phieta - rep_d.i_phieta) < 1e-12 * max(1.0, abs(rep_d.i_phieta))
+
+
+@pytest.mark.parametrize("n", [7, 40, 120])
+def test_two_mode_channel_report_matches_dense_routes(n):
+    rng = np.random.default_rng(n)
+    probe = FockProbe.random(Scenario.TWO, n, rng)
+    params = ChannelParams(0.6, 0.1 + 0.8 * rng.random(), n)
+    rep = channel_report(probe, params)
+    rho, dphi, deta = output_triple(probe, params)
+    for method in ("analytic", "eigen"):
+        ref = qfi_matrix(rho, dphi, deta, method=method)
+        np.testing.assert_allclose(rep.f, ref.f, rtol=0, atol=1e-10 * np.abs(ref.f).max())
+        assert abs(rep.i_phieta - ref.i_phieta) <= 1e-10 * abs(ref.i_phieta)
 
 
 def test_scalar_crb_values():
@@ -163,3 +173,9 @@ def test_analytic_method_rejected_for_single_mode():
     rho, dphi, deta = output_triple(probe, ChannelParams(0.0, 0.5, 4))
     with pytest.raises(InvalidInput):
         qfi_matrix(rho, dphi, deta, method="analytic")
+
+
+def test_pure_block_report_rejects_single_mode():
+    probe = FockProbe.random(Scenario.SINGLE, 4, np.random.default_rng(8))
+    with pytest.raises(InvalidInput):
+        pure_block_report(probe, build_kraus(ChannelParams(0.0, 0.5, 4), Scenario.SINGLE))

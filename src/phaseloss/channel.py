@@ -175,43 +175,55 @@ def block_vectors(probe: FockProbe, kraus: KrausFamily) -> np.ndarray:
     return kraus.table * probe.coeffs
 
 
+def _shift_rows(table: np.ndarray) -> np.ndarray:
+    """Row m moved left by m places, zero past N: out[m, j] = table[m, j + m].
+
+    Applied to rows of T * c it gives the single-mode post-loss vectors at
+    their output photon numbers j = n - m.
+    """
+    n_pts = table.shape[-1]
+    m, j = np.indices((n_pts, n_pts))
+    n = m + j
+    return np.where(n < n_pts, table[m, np.minimum(n, n_pts - 1)], 0.0)
+
+
 def apply_channel(probe: FockProbe, kraus: KrausFamily) -> BlockDensity:
-    """Channel output: dense matrix (single mode) or orthogonal blocks (two mode)."""
+    """Channel output: dense matrix (single mode) or orthogonal blocks (two mode).
+
+    The single-mode output sum_m (K_m c)(K_m c)' is W^T conj(W) with W the
+    shifted table of post-loss vectors.
+    """
     vecs = block_vectors(probe, kraus)
     n_max = kraus.n_max
     if kraus.scenario is Scenario.TWO:
         blocks = [np.outer(v[m:], v[m:].conj()) for m, v in enumerate(vecs)]
         return BlockDensity(Scenario.TWO, n_max, blocks)
-    rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for m, v in enumerate(vecs):
-        d = n_max + 1 - m
-        rho[:d, :d] += np.outer(v[m:], v[m:].conj())
-    return BlockDensity(Scenario.SINGLE, n_max, [rho])
+    w = _shift_rows(vecs)
+    return BlockDensity(Scenario.SINGLE, n_max, [w.T @ w.conj()])
 
 
 def apply_channel_derivatives(probe: FockProbe, kraus: KrausFamily):
     """Parameter derivatives of the channel output, blockwise.
 
     Each block is (G K_m c)(K_m c)' + h.c. with the generator tables of the
-    family, so per-block results stay rank <= 2.
+    family, so per-block results stay rank <= 2.  The single-mode sum over m
+    is the product of the shifted tables of G T c and T c, plus h.c.
     """
     vecs = block_vectors(probe, kraus)
     n_max = kraus.n_max
+    if kraus.scenario is Scenario.SINGLE:
+        w_conj = _shift_rows(vecs).conj()
 
     def assemble(gens):
         gvecs = gens * vecs
-        if kraus.scenario is Scenario.TWO:
-            blocks = []
-            for m, (v, gv) in enumerate(zip(vecs, gvecs)):
-                b = np.outer(gv[m:], v[m:].conj())
-                blocks.append(b + b.conj().T)
-            return BlockDensity(Scenario.TWO, n_max, blocks)
-        out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        if kraus.scenario is Scenario.SINGLE:
+            b = _shift_rows(gvecs).T @ w_conj
+            return BlockDensity(Scenario.SINGLE, n_max, [b + b.conj().T])
+        blocks = []
         for m, (v, gv) in enumerate(zip(vecs, gvecs)):
-            d = n_max + 1 - m
             b = np.outer(gv[m:], v[m:].conj())
-            out[:d, :d] += b + b.conj().T
-        return BlockDensity(Scenario.SINGLE, n_max, [out])
+            blocks.append(b + b.conj().T)
+        return BlockDensity(Scenario.TWO, n_max, blocks)
 
     g_phi, g_eta = kraus.generators()
     return assemble(g_phi), assemble(g_eta)

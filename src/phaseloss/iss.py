@@ -70,14 +70,16 @@ def channel_slds(probe: FockProbe, kraus: KrausFamily,
                  rank_tol: float = DEFAULT_RANK_TOL):
     """SLD pair (L_phi, L_eta) of the channel output at the given probe.
 
-    Returned dense for the single-mode layout and as block lists for the
-    two-mode layout (analytic rank-1 form per block).
+    Returned dense for the single-mode layout, both from one eigendecomposition
+    of the output, and as block lists for the two-mode layout (analytic rank-1
+    form per block).
     """
     rho = apply_channel(probe, kraus)
-    dphi, deta = apply_channel_derivatives(probe, kraus)
     if kraus.scenario is Scenario.SINGLE:
-        return (solve_sld(rho.blocks[0], dphi.blocks[0], rank_tol),
-                solve_sld(rho.blocks[0], deta.blocks[0], rank_tol))
+        drho = np.stack([d.blocks[0] for d in apply_channel_derivatives(probe, kraus)])
+        l_phi, l_eta = solve_sld(rho.blocks[0], drho, rank_tol)
+        return l_phi, l_eta
+    dphi, deta = apply_channel_derivatives(probe, kraus)
     l_phi, l_eta = [], []
     for rho_b, dp_b, de_b in zip(rho.blocks, dphi.blocks, deta.blocks):
         q = np.trace(rho_b).real
@@ -104,27 +106,50 @@ def build_m_matrix(probe: FockProbe, slds, kraus: KrausFamily, weights) -> np.nd
 
     M = sum_j (1/w_j) sum_m K_m' (2 G_jm' L_j + 2 L_j G_jm - L_j^2) K_m with
     the diagonal derivative generators G of the Kraus family; its Rayleigh
-    quotient at the probe equals the weighted witness sum.
+    quotient at the probe equals the weighted witness sum.  The two-mode
+    layout takes the witnesses as block lists (one per lost-photon count).
     """
-    l_phi, l_eta = slds
+    if kraus.scenario is Scenario.SINGLE:
+        return _single_mode_m(slds, kraus, weights)
     n_pts = kraus.n_max + 1
     m_mat = np.zeros((n_pts, n_pts), dtype=complex)
-    for l_op, gens, w in zip((l_phi, l_eta), kraus.generators(), weights):
+    for l_blocks, gens, w in zip(slds, kraus.generators(), weights):
         if math.isinf(w):
             continue
-        if kraus.scenario is Scenario.SINGLE:
-            l_sq = l_op @ l_op
-        for m in range(n_pts):
-            d = n_pts - m
+        for m, l_b in enumerate(l_blocks):
             g = gens[m, m:]
-            if kraus.scenario is Scenario.SINGLE:
-                l_b, l_b_sq = l_op[:d, :d], l_sq[:d, :d]
-            else:
-                l_b = l_op[m]
-                l_b_sq = l_b @ l_b
-            x = 2.0 * np.conj(g)[:, None] * l_b + 2.0 * l_b * g[None, :] - l_b_sq
+            x = 2.0 * np.conj(g)[:, None] * l_b + 2.0 * l_b * g[None, :] - l_b @ l_b
             s = kraus.table[m, m:]
             m_mat[m:, m:] += (np.conj(s)[:, None] * x * s[None, :]) / w
+    return hermitianize(m_mat)
+
+
+def _single_mode_m(slds, kraus: KrausFamily, weights) -> np.ndarray:
+    """M for the single-mode layout, with every witness term built once.
+
+    K_m maps input n to output a = n - m, so block m of M is
+    conj(T_m) T_m^T (entrywise) times the witness term at output indices
+    (a, b): 2 (conj G[m, a+m] + G[m, b+m]) L - L^2.  The generator tables are
+    affine in (m, n), so the bracket is h[a, b] + m s with
+    h = conj G[0, a] + G[0, b] and s = 2 Re(G[1, 1] - G[0, 0]) (0 for phi,
+    -1/(1-eta) for eta); the whole term is Y + m Z with Y and Z summed over
+    the parameters once per call.
+    """
+    n_pts = kraus.n_max + 1
+    y = np.zeros((n_pts, n_pts), dtype=complex)
+    z = np.zeros((n_pts, n_pts), dtype=complex)
+    for l_op, gens, w in zip(slds, kraus.generators(), weights):
+        if math.isinf(w):
+            continue
+        h = np.conj(gens[0])[:, None] + gens[0][None, :]
+        y += (2.0 * h * l_op - l_op @ l_op) / w
+        z += 4.0 * (gens[1, 1] - gens[0, 0]).real * l_op / w
+    m_mat = np.zeros((n_pts, n_pts), dtype=complex)
+    table, table_conj = kraus.table, np.conj(kraus.table)
+    for m in range(n_pts):
+        d = n_pts - m
+        s = table[m, m:]
+        m_mat[m:, m:] += table_conj[m, m:, None] * (y[:d, :d] + m * z[:d, :d]) * s
     return hermitianize(m_mat)
 
 

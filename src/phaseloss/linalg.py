@@ -44,29 +44,50 @@ def hermitian_eig(h: np.ndarray) -> EigenSystem:
     return EigenSystem(vals[order].copy(), vecs[:, order].copy())
 
 
+def sld_eigenbasis(rho_eig: EigenSystem, drho: np.ndarray,
+                   rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """SLD of one derivative in the eigenbasis of ρ, from ρ's eigensystem.
+
+    L_ij = 2 dρ_ij / (p_i + p_j) whenever p_i + p_j exceeds ``rank_tol``
+    relative to the largest eigenvalue p_0; elements on the kernel-kernel
+    block are set to zero (L is not unique there and the choice does not
+    affect any information quantity).  In this basis Tr(ρ A B) is
+    sum_ab p_a A_ab B_ba.
+    """
+    p = rho_eig.eigenvalues
+    u = rho_eig.eigenvectors
+    d_eig = u.conj().T @ drho @ u
+    denom = p[:, None] + p[None, :]
+    keep = denom > rank_tol * max(p[0], np.finfo(float).tiny)
+    d_eig *= np.where(keep, 2.0, 0.0) / np.where(keep, denom, 1.0)
+    return d_eig
+
+
 def solve_sld(rho: np.ndarray, drho: np.ndarray,
               rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Solve dρ = (ρL + Lρ)/2 for the Hermitian operator L.
 
-    Works in the eigenbasis of ρ: L_ij = 2 dρ_ij / (p_i + p_j) whenever
-    p_i + p_j exceeds ``rank_tol`` relative to the largest eigenvalue;
-    elements on the kernel-kernel block are set to zero (L is not unique
-    there and the choice does not affect any information quantity).
+    ``drho`` is one (n, n) derivative or a (k, n, n) stack of them; a stack
+    returns the k SLDs stacked alike from a single eigendecomposition of ρ.
+    Each solve runs in the eigenbasis of ρ as described in sld_eigenbasis.
     """
     rho = np.asarray(rho)
     drho = np.asarray(drho)
-    if rho.shape != drho.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidInput("rho and drho must be square matrices of equal shape")
+    if (rho.ndim != 2 or rho.shape[0] != rho.shape[1] or drho.ndim not in (2, 3)
+            or drho.shape[-2:] != rho.shape):
+        raise InvalidInput("rho must be square and drho one matrix of its shape or a stack")
     es = hermitian_eig(rho)
-    p = es.eigenvalues
     u = es.eigenvectors
-    d_eig = u.conj().T @ drho @ u
-    denom = p[:, None] + p[None, :]
-    cut = rank_tol * max(p[0], np.finfo(float).tiny)
-    mask = denom > cut
-    l_eig = np.zeros_like(d_eig)
-    l_eig[mask] = 2.0 * d_eig[mask] / denom[mask]
-    return hermitianize(u @ l_eig @ u.conj().T)
+
+    def solve(d):
+        return hermitianize(u @ sld_eigenbasis(es, d, rank_tol) @ u.conj().T)
+
+    if drho.ndim == 2:
+        return solve(drho)
+    out = np.empty(drho.shape, dtype=np.result_type(drho, u))
+    for k, d in enumerate(drho):     # slice by slice: temporaries of one matrix
+        out[k] = solve(d)
+    return out
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from .channel import (BlockDensity, ChannelParams, FockProbe, KrausFamily,
                       Scenario, apply_channel, apply_channel_derivatives,
                       block_vectors, build_kraus)
 from .errors import InvalidInput, InvalidState, SingularInformation
-from .linalg import DEFAULT_RANK_TOL, hermitian_eig, solve_sld
+from .linalg import DEFAULT_RANK_TOL, hermitian_eig, sld_eigenbasis
 
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-8
@@ -49,23 +49,35 @@ def _pure_block_slds(rho_b: np.ndarray, drho_b: np.ndarray, q: float) -> np.ndar
     return (2.0 / q) * drho_b - (np.trace(drho_b).real / q ** 2) * rho_b
 
 
+def _check_layout(rho: BlockDensity, *derivatives: BlockDensity):
+    for d in derivatives:
+        if d.scenario is not rho.scenario or len(d.blocks) != len(rho.blocks):
+            raise InvalidInput("state and derivatives disagree on the scenario or block count")
+        for rho_b, d_b in zip(rho.blocks, d.blocks):
+            if np.shape(d_b) != np.shape(rho_b):
+                raise InvalidInput(f"derivative block of shape {np.shape(d_b)} against a "
+                                   f"state block of shape {np.shape(rho_b)}")
+
+
 def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity,
                rank_tol: float = DEFAULT_RANK_TOL, method: str = "auto") -> QfiReport:
     """QFI matrix and SLD-commutator expectation of a blockwise state.
 
-    method "eigen" solves the SLD equation in the eigenbasis of every block;
-    "analytic" uses the closed form valid for pure (rank-1) blocks, which is
-    the default for the two-mode layout.  Both agree to solver precision.
+    method "eigen" solves the SLD equation in the eigenbasis of every block,
+    one eigendecomposition per block, and sums Tr(rho A B) there as
+    sum_ab p_a A_ab B_ba; "analytic" uses the closed form valid for pure
+    (rank-1) blocks, which is the default for the two-mode layout.  Both
+    agree to solver precision.
     """
     if method == "auto":
         method = "analytic" if rho.scenario is Scenario.TWO else "eigen"
     if method == "analytic" and rho.scenario is Scenario.SINGLE:
         raise InvalidInput("analytic SLDs require pure blocks; single-mode output is mixed")
+    _check_layout(rho, drho_phi, drho_eta)
     if abs(rho.trace() - 1.0) > _TRACE_TOL:
         raise InvalidState(f"density trace {rho.trace()} is not 1")
 
-    f = np.zeros((2, 2))
-    i_pe = 0.0 + 0.0j
+    t = np.zeros((2, 2), dtype=complex)         # Tr(rho L_i L_j), lower triangle
     for rho_b, dphi_b, deta_b in zip(rho.blocks, drho_phi.blocks, drho_eta.blocks):
         q = np.trace(rho_b).real
         if q < _BLOCK_FLOOR:
@@ -76,21 +88,24 @@ def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity
                 raise InvalidState("analytic SLD path requires rank-1 blocks")
             l_phi = _pure_block_slds(rho_b, dphi_b, q)
             l_eta = _pure_block_slds(rho_b, deta_b, q)
+
+            def rho_trace(a, b):
+                return np.trace(rho_b @ a @ b)
         else:
-            evals = hermitian_eig(rho_b).eigenvalues
-            if evals[-1] < -_PSD_TOL:
-                raise InvalidState(f"block has negative eigenvalue {evals[-1]}")
-            l_phi = solve_sld(rho_b, dphi_b, rank_tol)
-            l_eta = solve_sld(rho_b, deta_b, rank_tol)
-        rl_phi = rho_b @ l_phi
-        rl_eta = rho_b @ l_eta
-        f[0, 0] += np.trace(rl_phi @ l_phi).real
-        f[1, 1] += np.trace(rl_eta @ l_eta).real
-        t = np.trace(rl_eta @ l_phi)
-        f[0, 1] += t.real
-        i_pe += 1j * t.imag
-    f[1, 0] = f[0, 1]
-    return QfiReport(f=f, i_phieta=i_pe)
+            es = hermitian_eig(rho_b)
+            p = es.eigenvalues
+            if p[-1] < -_PSD_TOL:
+                raise InvalidState(f"block has negative eigenvalue {p[-1]}")
+            l_phi = sld_eigenbasis(es, dphi_b, rank_tol)
+            l_eta = sld_eigenbasis(es, deta_b, rank_tol)
+
+            def rho_trace(a, b):
+                return np.einsum("a,ab,ba->", p, a, b)
+        t[0, 0] += rho_trace(l_phi, l_phi)
+        t[1, 1] += rho_trace(l_eta, l_eta)
+        t[1, 0] += rho_trace(l_eta, l_phi)
+    f = np.array([[t[0, 0].real, t[1, 0].real], [t[1, 0].real, t[1, 1].real]])
+    return QfiReport(f=f, i_phieta=1j * t[1, 0].imag)
 
 
 def pure_block_report(probe: FockProbe, kraus: KrausFamily) -> QfiReport:

@@ -7,7 +7,7 @@ import numpy as np
 from phaseloss.channel import (ChannelParams, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus)
 from phaseloss.gaussian import fock_truncation, grid_channel_output, mix_modes
-from phaseloss.linalg import hermitian_eig
+from phaseloss.linalg import hermitian_eig, hermitianize
 
 
 def kraus_matrix(kraus, m, which=None):
@@ -56,6 +56,58 @@ def pre_qfi(probe, a, kraus, which):
         total += 2.0 * np.trace(drho_b @ a_b).real
         total -= np.trace(rho_b @ a_b @ a_b).real
     return float(total)
+
+
+def kraus_sum_output(probe, kraus, which=None):
+    """Single-mode output sum_m K_m |c><c| K_m' from the dense Kraus matrices.
+
+    With ``which`` ("phi" or "eta") the derivative sum_m (dK_m c)(K_m c)' + h.c.
+    """
+    npts = kraus.n_max + 1
+    out = np.zeros((npts, npts), dtype=complex)
+    for m in range(npts):
+        v = kraus_matrix(kraus, m) @ probe.coeffs
+        if which is None:
+            out += np.outer(v, v.conj())
+        else:
+            b = np.outer(kraus_matrix(kraus, m, which) @ probe.coeffs, v.conj())
+            out += b + b.conj().T
+    return out
+
+
+def sld_oracle(rho, drho, rank_tol=1e-12):
+    """SLD of one derivative, solved entry by entry in the eigenbasis of rho."""
+    es = hermitian_eig(rho)
+    p, u = es.eigenvalues, es.eigenvectors
+    d_eig = u.conj().T @ drho @ u
+    den = p[:, None] + p[None, :]
+    mask = den > rank_tol * max(p[0], np.finfo(float).tiny)
+    l_eig = np.zeros_like(d_eig)
+    l_eig[mask] = 2.0 * d_eig[mask] / den[mask]
+    return hermitianize(u @ l_eig @ u.conj().T)
+
+
+def single_mode_m_matrix(slds, kraus, weights):
+    """Single-mode see-saw operator by the loop over lost-photon counts m.
+
+    Block m adds conj(T_m) T_m^T times 2 conj(G_m) L + 2 L G_m - L^2 read on
+    the leading (N+1-m) square of each dense witness, with the generator rows
+    G_m taken straight from the tables.
+    """
+    npts = kraus.n_max + 1
+    m_mat = np.zeros((npts, npts), dtype=complex)
+    for l_op, gens, w in zip(slds, kraus.generators(), weights):
+        if math.isinf(w):
+            continue
+        l_sq = l_op @ l_op
+        for m in range(npts):
+            d = npts - m
+            g = gens[m, m:]
+            l_b, l_b_sq = l_op[:d, :d], l_sq[:d, :d]
+            x = 2.0 * np.conj(g)[:, None] * l_b + 2.0 * l_b * g[None, :] - l_b_sq
+            s = kraus.table[m, m:]
+            m_mat[m:, m:] += (np.conj(s)[:, None] * x * s[None, :]) / w
+    return hermitianize(m_mat)
 
 
 def finite_diff_output(probe, phi, eta, n_max, which, delta=1e-5):

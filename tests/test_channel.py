@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import dense, finite_diff_output, kraus_matrix
+from conftest import dense, finite_diff_output, kraus_matrix, kraus_sum_output
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
                                binomial_loss_coeff, build_kraus)
@@ -164,6 +164,18 @@ def test_two_mode_block_eigenvalues_union():
         [np.linalg.eigvalsh(b) for b in rho.blocks]))
     dense_eigs = np.sort(np.linalg.eigvalsh(dense(rho)))
     np.testing.assert_allclose(block_eigs, dense_eigs, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 8, 40, 80])
+def test_single_mode_output_matches_kraus_sum(n):
+    rng = np.random.default_rng(n)
+    probe = FockProbe.random(Scenario.SINGLE, n, rng)
+    kraus = build_kraus(ChannelParams(1.1, 0.37, n), Scenario.SINGLE)
+    rho = apply_channel(probe, kraus).blocks[0]
+    dphi, deta = (d.blocks[0] for d in apply_channel_derivatives(probe, kraus))
+    for got, which in ((rho, None), (dphi, "phi"), (deta, "eta")):
+        ref = kraus_sum_output(probe, kraus, which)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("scenario", [Scenario.SINGLE, Scenario.TWO])

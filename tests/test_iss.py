@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import kraus_matrix, pre_qfi
-from phaseloss.channel import ChannelParams, FockProbe, Scenario, build_kraus
+from conftest import (kraus_matrix, kraus_sum_output, pre_qfi, single_mode_m_matrix,
+                      sld_oracle)
+from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
+                               apply_channel_derivatives, build_kraus)
 from phaseloss.iss import (IssConfig, build_m_matrix, channel_slds, optimize,
                            probe_statistics)
 from phaseloss.iss import _fast_m_two_mode
 from phaseloss.linalg import hermitianize
-from phaseloss.qfi import channel_report
+from phaseloss.qfi import channel_report, qfi_matrix
 
 
 def test_pre_qfi_at_sld_equals_qfi():
@@ -74,6 +76,71 @@ def test_fast_two_mode_m_matches_dense(n, weights):
     dense = build_m_matrix(probe, slds, kraus, weights)
     fast = _fast_m_two_mode(probe.coeffs, kraus, weights)
     np.testing.assert_allclose(fast, dense, atol=1e-10 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("weights", [(1.7, 0.9), (np.inf, 0.9), (1.7, np.inf)])
+@pytest.mark.parametrize("n", [1, 8, 40, 80])
+def test_single_mode_m_matches_loop_oracle(n, weights):
+    rng = np.random.default_rng(n)
+    kraus = build_kraus(ChannelParams(0.7, 0.37, n), Scenario.SINGLE)
+    probe = FockProbe.random(Scenario.SINGLE, n, rng)
+    slds = channel_slds(probe, kraus)
+    ref = single_mode_m_matrix(slds, kraus, weights)
+    m_mat = build_m_matrix(probe, slds, kraus, weights)
+    assert np.abs(m_mat - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 8, 40, 80])
+def test_single_mode_slds_match_oracle(n):
+    rng = np.random.default_rng(n + 1)
+    kraus = build_kraus(ChannelParams(1.3, 0.62, n), Scenario.SINGLE)
+    probe = FockProbe.random(Scenario.SINGLE, n, rng)
+    # the oracle solves the library's own output: near-kernel entries of L
+    # divide by p_i + p_j down to 1e-12 p_0, so a rounding-level change of rho
+    # moves them by up to 1e-4 relative at N=80 (rho itself is checked against
+    # the Kraus sum in test_channel)
+    rho = apply_channel(probe, kraus).blocks[0]
+    derivs = [d.blocks[0] for d in apply_channel_derivatives(probe, kraus)]
+    for l_op, drho in zip(channel_slds(probe, kraus), derivs):
+        ref = sld_oracle(rho, drho)
+        assert np.abs(l_op - ref).max() <= 1e-10 * np.abs(ref).max()
+    if n <= 8:
+        for l_op, which in zip(channel_slds(probe, kraus), ("phi", "eta")):
+            ref = sld_oracle(kraus_sum_output(probe, kraus),
+                             kraus_sum_output(probe, kraus, which))
+            assert np.abs(l_op - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_eigh_calls_per_solve(monkeypatch):
+    # one eigendecomposition per mixed state: SLD pair, QFI block, see-saw step
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    n = 9
+    params = ChannelParams(0.4, 0.3, n)
+    probe = FockProbe.random(Scenario.SINGLE, n, np.random.default_rng(5))
+    channel_slds(probe, build_kraus(params, Scenario.SINGLE))
+    assert shapes == [(n + 1, n + 1)]
+
+    # |3>|N-3> keeps blocks m = 0..3; blocks 4..N carry no weight
+    two_mode = FockProbe.fock(Scenario.TWO, 3, n)
+    kraus = build_kraus(params, Scenario.TWO)
+    shapes.clear()
+    qfi_matrix(apply_channel(two_mode, kraus), *apply_channel_derivatives(two_mode, kraus),
+               method="eigen")
+    assert shapes == [(n + 1 - m, n + 1 - m) for m in range(4)]
+
+    def calls_for(iters):
+        shapes.clear()
+        optimize(IssConfig(max_iters=iters, conv_rel_tol=1e-300), params, Scenario.SINGLE)
+        return len(shapes)
+
+    assert calls_for(3) - calls_for(2) == 2
 
 
 def test_m_matrix_small_system_hand_derived():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
+                               apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput
 from phaseloss.linalg import hermitian_eig, hermitianize, solve_sld, trace_norm
 
@@ -78,9 +80,32 @@ def test_sld_residual_full_rank():
         assert np.linalg.norm(residual) < 1e-9
 
 
+@pytest.mark.parametrize("fock", [False, True])
+def test_stacked_sld_matches_single_solves(fock):
+    # a Fock probe leaves rho rank 5 of 10: the kernel mask keeps L finite
+    rng = np.random.default_rng(3)
+    n = 9
+    probe = (FockProbe.fock(Scenario.SINGLE, 4, n) if fock
+             else FockProbe.random(Scenario.SINGLE, n, rng))
+    kraus = build_kraus(ChannelParams(0.6, 0.45, n), Scenario.SINGLE)
+    rho = apply_channel(probe, kraus).blocks[0]
+    derivs = [d.blocks[0] for d in apply_channel_derivatives(probe, kraus)]
+    derivs.append(random_hermitian(rng, n + 1))
+    stacked = solve_sld(rho, np.stack(derivs))
+    assert stacked.shape == (3, n + 1, n + 1)
+    for l_op, drho in zip(stacked, derivs):
+        single = solve_sld(rho, drho)
+        assert np.all(np.isfinite(l_op))
+        np.testing.assert_allclose(l_op, single, rtol=0, atol=1e-12 * np.abs(single).max())
+    if fock:
+        assert np.abs(stacked[2][5:, 5:]).max() < 1e-12   # kernel-kernel block
+
+
 def test_sld_shape_mismatch():
     with pytest.raises(InvalidInput):
         solve_sld(np.eye(2) / 2, np.eye(3))
+    with pytest.raises(InvalidInput):
+        solve_sld(np.eye(2) / 2, np.zeros((2, 3, 3)))
 
 
 def test_trace_norm_values():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import dense, dense_qfi, pure_state_phase_qfi
+from conftest import dense, dense_qfi, kraus_sum_output, pure_state_phase_qfi
 from phaseloss.bounds import fundamental_limits
-from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
-                               apply_channel_derivatives, build_kraus)
+from phaseloss.channel import (BlockDensity, ChannelParams, FockProbe, Scenario,
+                               apply_channel, apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput, SingularInformation
 from phaseloss.qfi import (QfiReport, channel_report, complete_report, hcrb_upper,
                            meas_quantifiers, probe_quantifier, pure_block_report,
@@ -77,6 +77,39 @@ def test_qfi_matches_dense_reference():
     f_ref, i_ref = dense_qfi(dense(rho), dense(dphi), dense(deta))
     np.testing.assert_allclose(rep.f, f_ref, atol=1e-9 * max(1.0, np.abs(f_ref).max()))
     assert abs(rep.i_phieta - i_ref) < 1e-9 * max(1.0, abs(i_ref))
+
+
+@pytest.mark.parametrize("n, fock", [(1, False), (8, False), (40, False), (80, False),
+                                     (40, True)])
+def test_single_mode_eigen_qfi_matches_dense_oracle(n, fock):
+    rng = np.random.default_rng(n)
+    probe = (FockProbe.fock(Scenario.SINGLE, n // 2, n) if fock
+             else FockProbe.random(Scenario.SINGLE, n, rng))
+    rho, dphi, deta = output_triple(probe, ChannelParams(0.9, 0.41, n))
+    rep = qfi_matrix(rho, dphi, deta, method="eigen")
+    f_ref, i_ref = dense_qfi(rho.blocks[0], dphi.blocks[0], deta.blocks[0])
+    assert np.abs(rep.f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+    assert abs(rep.i_phieta - i_ref) <= 1e-12 * np.abs(f_ref).max()
+    kraus = build_kraus(ChannelParams(0.9, 0.41, n), Scenario.SINGLE)
+    f_kraus, _ = dense_qfi(*(kraus_sum_output(probe, kraus, w) for w in (None, "phi", "eta")))
+    assert np.abs(rep.f - f_kraus).max() <= 1e-10 * np.abs(f_kraus).max()
+
+
+def test_qfi_matrix_rejects_mismatched_layouts():
+    rng = np.random.default_rng(6)
+    state = output_triple(FockProbe.random(Scenario.TWO, 5, rng), ChannelParams(0.3, 0.5, 5))
+    small = output_triple(FockProbe.random(Scenario.TWO, 3, rng), ChannelParams(0.3, 0.5, 3))
+    single = output_triple(FockProbe.random(Scenario.SINGLE, 5, rng), ChannelParams(0.3, 0.5, 5))
+    rho, dphi, deta = state
+    reshaped = BlockDensity(Scenario.TWO, 5, [b[:-1, :-1] for b in deta.blocks[:-1]]
+                            + [deta.blocks[-1]])
+    for method in ("analytic", "eigen"):
+        with pytest.raises(InvalidInput):
+            qfi_matrix(rho, small[1], small[2], method=method)      # N=5 state, N=3 derivatives
+        with pytest.raises(InvalidInput):
+            qfi_matrix(rho, dphi, reshaped, method=method)         # same count, other shapes
+    with pytest.raises(InvalidInput):
+        qfi_matrix(single[0], dphi, deta, method="eigen")          # scenarios disagree
 
 
 def test_pure_block_report_path():

@@ -24,6 +24,10 @@ class FundamentalLimits:
     n: float
     eta: float
 
+    def weights(self):
+        """diag(F_phi_max, F_eta_max), the default weights of the scalar bounds."""
+        return ((self.f_phi_max_s12, 0.0), (0.0, self.f_eta_max))
+
 
 @dataclass(frozen=True)
 class KrausGauge:
@@ -86,24 +90,6 @@ def loss_kraus_term(eta: float) -> float:
     if not (0.0 < eta < 1.0):
         raise DegenerateChannel(f"coefficient diverges at eta = {eta}")
     return 1.0 / (4.0 * eta * (1.0 - eta))
-
-
-def probe_moments(probe_or_state):
-    """Sensing-mode photon mean and variance of a probe, either layout.
-
-    Accepts a number-basis probe (coefficient vector) or a Gaussian state;
-    convenience for feeding the moment bounds below.
-    """
-    from .channel import FockProbe
-    from .gaussian import GaussianState, photon_moments
-
-    if isinstance(probe_or_state, FockProbe):
-        from .iss import probe_statistics
-        return probe_statistics(probe_or_state)
-    if isinstance(probe_or_state, GaussianState):
-        mean_n, _, var_n = photon_moments(probe_or_state)
-        return mean_n, var_n
-    raise InvalidInput(f"cannot extract moments from {type(probe_or_state).__name__}")
 
 
 def probe_incomp_bound(mean_n: float, var_n: float, n_budget: float, eta: float) -> float:

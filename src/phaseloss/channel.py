@@ -91,6 +91,14 @@ class FockProbe:
         return FockProbe.from_amplitudes(scenario, c)
 
 
+def probe_statistics(probe: FockProbe):
+    """Sensing-mode photon number mean and variance of the input probe."""
+    p = np.abs(probe.coeffs) ** 2
+    n = np.arange(len(p))
+    mean = float(np.dot(n, p))
+    return mean, float(np.dot(n ** 2, p) - mean ** 2)
+
+
 def _log_loss_probability(n, m, eta: float):
     """log of C(n, m) eta^(n-m) (1-eta)^m, broadcast over arrays n and m."""
     return (gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
@@ -187,6 +195,25 @@ def _shift_rows(table: np.ndarray) -> np.ndarray:
     return np.where(n < n_pts, table[m, np.minimum(n, n_pts - 1)], 0.0)
 
 
+def _single_mode_derivatives(vecs: np.ndarray, w_conj: np.ndarray, kraus: KrausFamily):
+    """Single-mode (drho_phi, drho_eta) from T * c and conj(W): each is
+    shift(G T c)^T conj(W) plus its adjoint."""
+    out = []
+    for gens in kraus.generators():
+        b = _shift_rows(gens * vecs).T @ w_conj
+        out.append(b + b.conj().T)
+    return out
+
+
+def _single_mode_output(probe: FockProbe, kraus: KrausFamily):
+    """Dense single-mode output and its (phi, eta) derivatives, as a matrix and
+    a (2, N+1, N+1) stack, from one table product and one row shift."""
+    vecs = block_vectors(probe, kraus)
+    w = _shift_rows(vecs)
+    w_conj = w.conj()
+    return w.T @ w_conj, np.stack(_single_mode_derivatives(vecs, w_conj, kraus))
+
+
 def apply_channel(probe: FockProbe, kraus: KrausFamily) -> BlockDensity:
     """Channel output: dense matrix (single mode) or orthogonal blocks (two mode).
 
@@ -213,20 +240,16 @@ def apply_channel_derivatives(probe: FockProbe, kraus: KrausFamily):
     n_max = kraus.n_max
     if kraus.scenario is Scenario.SINGLE:
         w_conj = _shift_rows(vecs).conj()
-
-    def assemble(gens):
-        gvecs = gens * vecs
-        if kraus.scenario is Scenario.SINGLE:
-            b = _shift_rows(gvecs).T @ w_conj
-            return BlockDensity(Scenario.SINGLE, n_max, [b + b.conj().T])
+        return tuple(BlockDensity(Scenario.SINGLE, n_max, [d])
+                     for d in _single_mode_derivatives(vecs, w_conj, kraus))
+    out = []
+    for gens in kraus.generators():
         blocks = []
-        for m, (v, gv) in enumerate(zip(vecs, gvecs)):
+        for m, (v, gv) in enumerate(zip(vecs, gens * vecs)):
             b = np.outer(gv[m:], v[m:].conj())
             blocks.append(b + b.conj().T)
-        return BlockDensity(Scenario.TWO, n_max, blocks)
-
-    g_phi, g_eta = kraus.generators()
-    return assemble(g_phi), assemble(g_eta)
+        out.append(BlockDensity(Scenario.TWO, n_max, blocks))
+    return tuple(out)
 
 
 def beamsplitter_sector(total: int, tau: float, reflect_sign: float = -1.0) -> np.ndarray:

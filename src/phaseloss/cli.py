@@ -25,10 +25,10 @@ from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import measurement as meas
 from .channel import (ChannelParams, Scenario, apply_channel,
-                      apply_channel_derivatives, build_kraus)
+                      apply_channel_derivatives, build_kraus, probe_statistics)
 from .errors import (DegenerateChannel, InvalidInput, InvalidState,
                      SingularInformation, Unsupported)
-from .iss import IssConfig, optimize, probe_statistics
+from .iss import IssConfig, optimize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,6 +167,12 @@ def _sweep_values(args):
     return n_values, eta_values
 
 
+# the failures main() maps to an exit code; a batched sweep reports the
+# first row that raises one
+_ROW_ERRORS = (InvalidInput, DegenerateChannel, InvalidState, SingularInformation,
+               Unsupported, FloatingPointError)
+
+
 def _run_pool(points, worker, threads):
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     if workers == 1 or len(points) == 1:
@@ -174,6 +180,44 @@ def _run_pool(points, worker, threads):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, ix, pt) for ix, pt in enumerate(points)]
         return [f.result() for f in futures]
+
+
+def _batch_rows(points, build, evaluate):
+    """Rows of a sweep evaluated in batches, failing as a row-by-row run would.
+
+    Points go in chunks of gaussian.CHUNK, which keeps memory flat however
+    long the sweep.  ``build`` makes one point's input in Python;
+    ``evaluate`` turns a list of inputs into (row, progress line) pairs in
+    batched calls, and a failing stage raises for the first point it
+    rejects, naming it by the exception's ``index``.  The inputs before a
+    failure are evaluated again on their own, since they may fail at a
+    later stage; whichever row fails first is the one reported, after the
+    progress lines of the rows before it.
+    """
+    rows = []
+    for lo in range(0, len(points), gauss.CHUNK):
+        inputs, failure = [], None
+        for point in points[lo:lo + gauss.CHUNK]:
+            try:
+                inputs.append(build(point))
+            except _ROW_ERRORS as exc:
+                failure = exc
+                break
+        done = []
+        while inputs:
+            try:
+                done = evaluate(inputs)
+                break
+            except (InvalidInput, SingularInformation) as exc:
+                if exc.index is None:
+                    raise
+                inputs, failure = inputs[:exc.index], exc
+        for row, message in done:
+            _progress(message)
+            rows.append(row)
+        if failure is not None:
+            raise failure
+    return rows
 
 
 def _fmt(value):
@@ -291,36 +335,43 @@ def cmd_gaussian_scan(args):
     theta1 = theta2 = math.pi   # squeezing opposed to the displacement
     theta = (theta1 + theta2 - math.pi) / 2.0
 
-    def worker(index, point):
+    def build(point):
         n, eta, chi = point
         split = gauss.EnergySplit(float(n), p=args.p, q=args.q, regime=regime)
         cross = abs(chi) > 1e-12
         tau_in = 1.0 if cross else split.tau_in()
-        family = gauss.ProbeFamily.TWO_MODE
-        spec = gauss.spec_from_split(family, split, mu=mu, theta=theta,
-                                     theta1=theta1, theta2=theta2, chi=chi,
-                                     tau_in=tau_in)
-        state = gauss.make_probe(spec)
-        rep = gauss.gaussian_qfi(state, ChannelParams(0.0, eta, 1), tau_in,
-                                 n_for_limits=split.n_total)
-        lim = bounds_mod.fundamental_limits(split.n_total, eta)
-        f_phi = rep.f[0, 0] / lim.f_phi_max_s12
-        f_eta = rep.f[1, 1] / lim.f_eta_max
-        _progress(f"gaussian-scan n={n} eta={eta} chi={chi:.4f}: "
-                  f"f_norm={0.5 * (f_phi + f_eta):.4f}")
-        return {
-            "n": n, "eta": eta, "chi": chi, "p": args.p, "q": args.q,
-            "regime": regime.value, "tau_in": tau_in, "mu": mu,
-            "theta": theta, "theta1": theta1, "theta2": theta2,
-            "f_phi_norm": f_phi, "f_eta_norm": f_eta,
-            "f_norm": 0.5 * (f_phi + f_eta),
-            "f_phieta": rep.f[0, 1],
-            "i_phieta_imag": rep.i_phieta.imag,
-            "r_h_bar": (rep.c_s / rep.c_h_bar) if rep.c_h_bar else None,
-        }
+        spec = gauss.spec_from_split(gauss.ProbeFamily.TWO_MODE, split, mu=mu,
+                                     theta=theta, theta1=theta1, theta2=theta2,
+                                     chi=chi, tau_in=tau_in)
+        return point, spec, bounds_mod.fundamental_limits(split.n_total, eta)
 
-    rows = _run_pool(points, worker, args.threads)
-    write_table(rows, GAUSSIAN_HEADER, args)
+    def evaluate(inputs):
+        points, specs, lims = zip(*inputs)
+        channel = gauss.ChannelPoints(0.0, [eta for _, eta, _ in points])
+        rep = gauss.gaussian_qfi(gauss.make_probe(specs), channel,
+                                 [spec.tau_in for spec in specs],
+                                 w=np.array([lim.weights() for lim in lims]))
+        rows = []
+        for (n, eta, chi), spec, lim, f, i_pe, c_s, c_h_bar in zip(
+                points, specs, lims, rep.f.tolist(), rep.i_phieta.imag.tolist(),
+                rep.c_s.tolist(), rep.c_h_bar.tolist()):
+            f_phi = f[0][0] / lim.f_phi_max_s12
+            f_eta = f[1][1] / lim.f_eta_max
+            row = {
+                "n": n, "eta": eta, "chi": chi, "p": args.p, "q": args.q,
+                "regime": regime.value, "tau_in": spec.tau_in, "mu": mu,
+                "theta": theta, "theta1": theta1, "theta2": theta2,
+                "f_phi_norm": f_phi, "f_eta_norm": f_eta,
+                "f_norm": 0.5 * (f_phi + f_eta),
+                "f_phieta": f[0][1],
+                "i_phieta_imag": i_pe,
+                "r_h_bar": (c_s / c_h_bar) if c_h_bar else None,
+            }
+            rows.append((row, f"gaussian-scan n={n} eta={eta} chi={chi:.4f}: "
+                              f"f_norm={0.5 * (f_phi + f_eta):.4f}"))
+        return rows
+
+    write_table(_batch_rows(points, build, evaluate), GAUSSIAN_HEADER, args)
     return EXIT_OK
 
 
@@ -336,30 +387,71 @@ def cmd_measure(args):
     kind = meas.SchemeKind(args.scheme)
     points = [(n, eta, tau, xi) for n in n_values for eta in eta_values
               for tau in taus for xi in xis]
+    if args.probe == "fock":
+        rows = _measure_fock(args, kind, points)
+    else:
+        rows = _measure_gaussian(args, kind, chi, points)
+    write_table(rows, MEASURE_HEADER, args)
+    return EXIT_OK
 
-    def gaussian_output(n, eta, xi):
+
+def _measure_gaussian(args, kind, chi, points):
+    """Gaussian-probe rows: every stage runs once per chunk of the grid, and
+    each point is evolved once for both its information and its moments."""
+    counting = kind is meas.SchemeKind.COUNTING
+    phi_op = OPERATING_PHI if counting else 0.0
+
+    def build(point):
+        n, eta, tau_out, xi = point
+        lim = bounds_mod.fundamental_limits(float(n), eta)
+        meas.DetectionScheme(kind, tau_out=tau_out, xi=xi)
         split = gauss.EnergySplit(float(n), p=args.p, q=args.q)
         cross = abs(chi) > 1e-12
         tau_in = 1.0 if cross else split.tau_in()
-        if kind is meas.SchemeKind.HOMODYNE:
+        if counting:
+            theta1 = theta2 = math.pi
+            theta = math.pi / 2.0
+        else:
             # squeezing aligned to the measured quadrature; the mixed-angle
             # cross phase follows the physicality-matched combination
             theta1 = theta2 = 2.0 * xi
             theta = 2.0 * xi if abs(chi - math.pi / 2) < 1e-12 \
                 else (theta1 + theta2 - math.pi) / 2.0
-        else:
-            theta1 = theta2 = math.pi
-            theta = math.pi / 2.0
         spec = gauss.spec_from_split(gauss.ProbeFamily.TWO_MODE, split, mu=0.0,
                                      theta=theta, theta1=theta1, theta2=theta2,
                                      chi=chi, tau_in=tau_in)
-        phi_op = OPERATING_PHI if kind is meas.SchemeKind.COUNTING else 0.0
-        state = gauss.make_probe(spec)
-        ev = gauss.evolve_with_derivatives(state, ChannelParams(phi_op, eta, 1), tau_in)
-        rep = gauss.gaussian_qfi(state, ChannelParams(phi_op, eta, 1), tau_in,
-                                 n_for_limits=split.n_total)
-        return ev, rep
+        return point, spec, lim
 
+    def evaluate(inputs):
+        points, specs, lims = zip(*inputs)
+        n_pts = len(points)
+        channel = gauss.ChannelPoints(np.full(n_pts, phi_op), [p[1] for p in points])
+        ev = gauss.evolve_with_derivatives(gauss.make_probe(specs), channel,
+                                           [spec.tau_in for spec in specs])
+        rep = gauss.evolved_qfi(ev, w=np.array([lim.weights() for lim in lims]))
+        scheme = meas.DetectionScheme(kind, tau_out=np.array([p[2] for p in points]),
+                                      xi=np.array([p[3] for p in points]))
+        moments = (meas.counting_moments(ev, scheme) if counting
+                   else meas.homodyne_moments(ev, scheme))
+        var_phis, var_etas = (v.tolist() for v in meas.error_propagation(moments))
+        rows = []
+        for (n, eta, tau_out, xi), lim, var_phi, var_eta, c_s, c_h_bar in zip(
+                points, lims, var_phis, var_etas, rep.c_s.tolist(), rep.c_h_bar.tolist()):
+            row = {"n": n, "eta": eta, "probe": args.probe, "scheme": kind.value,
+                   "tau_out": tau_out, "xi": xi, "status": "ok",
+                   "var_phi_fmax": var_phi * lim.f_phi_max_s12,
+                   "var_eta_fmax": var_eta * lim.f_eta_max,
+                   "r_scheme": meas.scheme_incompatibility(var_phi, var_eta, c_s, lim),
+                   "r_h_bar": (c_s / c_h_bar) if c_h_bar else None}
+            rows.append((row, f"measure n={n} eta={eta} tau_out={tau_out} xi={xi:.3f}"))
+        return rows
+
+    return _batch_rows(points, build, evaluate)
+
+
+def _measure_fock(args, kind, points):
+    """Number-basis rows on the worker pool; each distinct (n, eta) is
+    optimized once, before the rows share it."""
     def fock_output(index, pair):
         n, eta = pair
         cfg = IssConfig(restarts=args.restarts, seed=args.seed, max_iters=800,
@@ -370,9 +462,8 @@ def cmd_measure(args):
         dphi, deta = apply_channel_derivatives(result.probe, kraus)
         return rho, dphi, deta, result.final_qfi
 
-    # each distinct (n, eta) is optimized once, before the rows share it
     fock_outputs = {}
-    if args.probe == "fock" and kind is meas.SchemeKind.COUNTING:
+    if kind is meas.SchemeKind.COUNTING:
         pairs = list(dict.fromkeys((n, eta) for n, eta, _, _ in points))
         fock_outputs = dict(zip(pairs, _run_pool(pairs, fock_output, args.threads)))
 
@@ -382,19 +473,12 @@ def cmd_measure(args):
         scheme = meas.DetectionScheme(kind, tau_out=tau_out, xi=xi)
         row = {"n": n, "eta": eta, "probe": args.probe, "scheme": kind.value,
                "tau_out": tau_out, "xi": xi, "status": "ok"}
-        if args.probe == "fock" and kind is meas.SchemeKind.HOMODYNE:
+        if kind is meas.SchemeKind.HOMODYNE:
             row.update({"var_phi_fmax": None, "var_eta_fmax": None,
                         "r_scheme": None, "r_h_bar": None, "status": "unsupported"})
             return row
-        if args.probe == "fock":
-            rho, dphi, deta, rep = fock_outputs[(n, eta)]
-            moments = meas.counting_moments(rho, scheme, dphi, deta)
-        else:
-            ev, rep = gaussian_output(n, eta, xi)
-            if kind is meas.SchemeKind.COUNTING:
-                moments = meas.counting_moments(ev, scheme)
-            else:
-                moments = meas.homodyne_moments(ev, scheme)
+        rho, dphi, deta, rep = fock_outputs[(n, eta)]
+        moments = meas.counting_moments(rho, scheme, dphi, deta)
         var_phi, var_eta = meas.error_propagation(moments)
         r_scheme = (meas.scheme_incompatibility(var_phi, var_eta, rep.c_s, lim)
                     if rep.c_s is not None else None)
@@ -407,9 +491,7 @@ def cmd_measure(args):
         })
         return row
 
-    rows = _run_pool(points, worker, args.threads)
-    write_table(rows, MEASURE_HEADER, args)
-    return EXIT_OK
+    return _run_pool(points, worker, args.threads)
 
 
 BOUNDS_HEADER = ["n", "eta", "f_phi_max", "f_phi_max_shared_loss", "f_eta_max",

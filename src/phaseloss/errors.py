@@ -2,7 +2,15 @@
 
 
 class InvalidInput(ValueError):
-    """Arguments violate a precondition (shape, range, finiteness)."""
+    """Arguments violate a precondition (shape, range, finiteness).
+
+    ``index`` is the flat position of the first offending point when a
+    stacked input fails, None for a single point.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidState(ValueError):
@@ -10,11 +18,16 @@ class InvalidState(ValueError):
 
 
 class SingularInformation(ArithmeticError):
-    """Information matrix is numerically singular; carries the near-null direction."""
+    """Information matrix is numerically singular; carries the near-null direction.
 
-    def __init__(self, message, direction=None):
+    ``index`` is the flat position of the first singular point of a stack,
+    None for a single matrix.
+    """
+
+    def __init__(self, message, direction=None, index=None):
         super().__init__(message)
         self.direction = direction
+        self.index = index
 
 
 class DegenerateChannel(ValueError):

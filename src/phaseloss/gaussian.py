@@ -7,6 +7,12 @@ covariance matrices; the off-diagonal squeezing block carries a phase
 convention in which theta1 - 2 mu = 0 minimizes the sensing-mode photon
 number variance (transmissivity-friendly alignment) and theta1 - 2 mu = pi
 maximizes it (phase-friendly alignment).
+
+Probe construction, evolution, the information matrix and the photon
+moments work on stacks: sigma of shape (..., 4, 4) and d of shape (..., 4),
+with the channel point (phi, eta) and tau_in broadcast against the stack.
+A single state is the stack of no points.  Failures of a stacked call name
+the first failing point through the exception's ``index``.
 """
 
 from __future__ import annotations
@@ -18,12 +24,20 @@ from enum import Enum
 import numpy as np
 
 from . import bounds as _bounds
-from .channel import ChannelParams, Scenario, beamsplitter_sector, build_kraus
+from .channel import (ChannelParams, FockProbe, Scenario, beamsplitter_sector,
+                      build_kraus, probe_statistics)
 from .errors import InvalidInput, InvalidState
-from .qfi import QfiReport, complete_report
+from .qfi import QfiReport, _point, complete_report
 
 OMEGA = np.diag([1.0, 1.0, -1.0, -1.0])
+_OMEGA_DIAG = np.diag(OMEGA)
+_OMEGA_KRON = np.kron(OMEGA, OMEGA)
 _PHYS_TOL = 1e-9
+_PINV_TOL = 1e-10
+# points per pass of the information-matrix solve: its 16 x 16 Kronecker
+# systems and their SVDs take about 16 kB a point, so a fixed chunk keeps
+# the memory of a sweep flat however many points it has
+CHUNK = 32
 
 
 class ProbeFamily(str, Enum):
@@ -38,7 +52,8 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Covariance matrix and displacement vector of a (possibly mixed) state."""
+    """Covariance matrix and displacement vector of a (possibly mixed) state,
+    or a stack of them: sigma (..., 4, 4) and d (..., 4)."""
 
     sigma: np.ndarray
     d: np.ndarray
@@ -46,18 +61,18 @@ class GaussianState:
     def __post_init__(self):
         s = np.asarray(self.sigma, dtype=complex)
         dd = np.asarray(self.d, dtype=complex)
-        if s.shape != (4, 4) or dd.shape != (4,):
+        if s.shape[-2:] != (4, 4) or dd.shape != s.shape[:-1]:
             raise InvalidInput("expect a 4x4 covariance matrix and length-4 displacement")
-        if np.abs(s - s.conj().T).max() > 1e-10:
+        if np.any(np.abs(s - s.conj().swapaxes(-1, -2)) > 1e-10):
             raise InvalidInput("covariance matrix must be Hermitian")
-        if np.abs(dd[2:] - dd[:2].conj()).max() > 1e-10:
+        if np.any(np.abs(dd[..., 2:] - dd[..., :2].conj()) > 1e-10):
             raise InvalidInput("displacement must satisfy d[2:] = conj(d[:2])")
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "d", dd)
 
     def physicality(self) -> float:
-        """Smallest eigenvalue of sigma + Omega (>= 0 up to tolerance)."""
-        return float(np.linalg.eigvalsh(self.sigma + OMEGA).min())
+        """Smallest eigenvalue of sigma + Omega (>= 0 up to tolerance), per point."""
+        return _point(np.linalg.eigvalsh(self.sigma + OMEGA)[..., 0])
 
 
 @dataclass(frozen=True)
@@ -102,6 +117,28 @@ class GaussianProbeSpec:
     @property
     def n_total(self) -> float:
         return self.n_alpha + self.n_r
+
+
+@dataclass(frozen=True)
+class ChannelPoints:
+    """Phase and transmissivity of each point of a stack, without a cutoff.
+
+    The Gaussian functions read only ``phi`` and ``eta``, so a ChannelParams
+    serves for a single point.
+    """
+
+    phi: np.ndarray
+    eta: np.ndarray
+
+    def __post_init__(self):
+        phi = np.asarray(self.phi, dtype=float)
+        eta = np.asarray(self.eta, dtype=float)
+        if not np.all((0.0 < eta) & (eta < 1.0)):
+            raise InvalidInput("eta must lie strictly inside (0, 1)")
+        if not np.all(np.isfinite(phi)):
+            raise InvalidInput("phi must be finite")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "eta", eta)
 
 
 @dataclass(frozen=True)
@@ -152,59 +189,96 @@ def spec_from_split(family: ProbeFamily, split: EnergySplit, mu: float = 0.0,
                              chi=chi, tau_in=tau_in)
 
 
-def squeezing_block(spec: GaussianProbeSpec) -> np.ndarray:
-    """Symmetric 2x2 phase matrix of the squeezing correlations."""
-    if spec.family is ProbeFamily.SINGLE_MODE:
-        return np.array([[np.exp(1j * spec.theta1), 0.0], [0.0, 0.0]])
-    return np.array([
-        [math.cos(spec.chi) * np.exp(1j * spec.theta1),
-         math.sin(spec.chi) * np.exp(1j * spec.theta)],
-        [math.sin(spec.chi) * np.exp(1j * spec.theta),
-         math.cos(spec.chi) * np.exp(1j * spec.theta2)],
-    ])
+_SPEC_FIELDS = ("alpha", "mu", "theta", "theta1", "theta2", "chi", "cosh_2r", "sinh_2r")
 
 
-def make_probe(spec: GaussianProbeSpec) -> GaussianState:
-    """Covariance matrix and displacement of the requested pure probe."""
-    c2r = math.cosh(2.0 * spec.r)
-    s2r = math.sinh(2.0 * spec.r)
-    r_block = squeezing_block(spec)
-    sigma = np.eye(4, dtype=complex)
-    if spec.family is ProbeFamily.SINGLE_MODE:
-        sigma[0, 0] = c2r
-        sigma[2, 2] = c2r
-    else:
-        sigma[:2, :2] = c2r * np.eye(2)
-        sigma[2:, 2:] = c2r * np.eye(2)
-    sigma[:2, 2:] += -s2r * r_block
-    sigma[2:, :2] += -s2r * r_block.conj()
-    disp = spec.alpha * np.exp(1j * spec.mu)
-    d = np.array([disp, 0.0, np.conj(disp), 0.0])
+def _spec_fields(spec) -> dict:
+    """The fields of one spec as 0-d values, or of a sequence of P specs as
+    (P,) arrays, under the names of _SPEC_FIELDS plus ``single`` (single-mode
+    family).  cosh 2r and sinh 2r come from ``math``: numpy's vectorized
+    hyperbolics differ from it in the last bit, which the near-singular
+    information solves amplify to about 1e-10 in the result."""
+    specs = [spec] if isinstance(spec, GaussianProbeSpec) else list(spec)
+    values = np.array([(s.alpha, s.mu, s.theta, s.theta1, s.theta2, s.chi,
+                        math.cosh(2.0 * s.r), math.sinh(2.0 * s.r)) for s in specs],
+                      dtype=float).reshape(-1, len(_SPEC_FIELDS)).T
+    fields = dict(zip(_SPEC_FIELDS, values))
+    fields["single"] = np.array([s.family is ProbeFamily.SINGLE_MODE for s in specs])
+    if isinstance(spec, GaussianProbeSpec):
+        return {key: val[0] for key, val in fields.items()}
+    return fields
+
+
+def squeezing_block(spec) -> np.ndarray:
+    """Symmetric 2x2 phase matrix of the squeezing correlations.
+
+    ``spec`` is one GaussianProbeSpec, or a sequence giving a (P, 2, 2) stack.
+    """
+    return _squeezing_block(_spec_fields(spec))
+
+
+def _squeezing_block(fields: dict) -> np.ndarray:
+    single, chi = fields["single"], fields["chi"]
+    # a single-mode probe squeezes the sensing mode alone: chi = 0, no theta2 term
+    cos_chi = np.where(single, 1.0, np.cos(chi))
+    sin_chi = np.where(single, 0.0, np.sin(chi))
+    block = np.empty(np.shape(chi) + (2, 2), dtype=complex)
+    block[..., 0, 0] = cos_chi * np.exp(1j * fields["theta1"])
+    block[..., 0, 1] = block[..., 1, 0] = sin_chi * np.exp(1j * fields["theta"])
+    block[..., 1, 1] = np.where(single, 0.0, cos_chi * np.exp(1j * fields["theta2"]))
+    return block
+
+
+def make_probe(spec) -> GaussianState:
+    """Covariance matrix and displacement of the requested pure probe.
+
+    ``spec`` is one GaussianProbeSpec, or a sequence of them for a stacked
+    state; an unphysical point raises InvalidInput (with its index for a
+    sequence).
+    """
+    fields = _spec_fields(spec)
+    c2r, s2r = fields["cosh_2r"], fields["sinh_2r"]
+    r_block = _squeezing_block(fields)
+    sigma = np.zeros(np.shape(c2r) + (4, 4), dtype=complex)
+    sigma[..., 0, 0] = sigma[..., 2, 2] = c2r
+    sigma[..., 1, 1] = sigma[..., 3, 3] = np.where(fields["single"], 1.0, c2r)
+    sigma[..., :2, 2:] = -s2r[..., None, None] * r_block
+    sigma[..., 2:, :2] = -s2r[..., None, None] * r_block.conj()
+    disp = fields["alpha"] * np.exp(1j * fields["mu"])
+    d = np.zeros(np.shape(c2r) + (4,), dtype=complex)
+    d[..., 0] = disp
+    d[..., 2] = np.conj(disp)
     state = GaussianState(sigma, d)
-    if state.physicality() < -_PHYS_TOL * max(1.0, c2r):
+    unphysical = np.asarray(state.physicality() < -_PHYS_TOL * np.maximum(1.0, c2r))
+    if unphysical.any():
         raise InvalidInput(
             "covariance matrix is unphysical; for 0 < chi < pi/2 the phases "
-            "must satisfy theta1 + theta2 = 2*theta +/- pi")
+            "must satisfy theta1 + theta2 = 2*theta +/- pi",
+            index=int(np.argmax(unphysical)) if unphysical.ndim else None)
     return state
 
 
-def mode_unitary(phi: float, tau_in: float) -> np.ndarray:
-    """4x4 evolution matrix diag(U, U*) of the input beamsplitter plus phase."""
-    if not (0.0 <= tau_in <= 1.0):
+def mode_unitary(phi, tau_in) -> np.ndarray:
+    """4x4 evolution matrix diag(U, U*) of the input beamsplitter plus phase,
+    stacked (..., 4, 4) over the broadcast shape of phi and tau_in."""
+    phi, tau_in = np.broadcast_arrays(np.asarray(phi, dtype=float),
+                                      np.asarray(tau_in, dtype=float))
+    if not np.all((0.0 <= tau_in) & (tau_in <= 1.0)):
         raise InvalidInput("tau_in must lie in [0, 1]")
-    t = math.sqrt(tau_in)
-    rcoef = 1j * math.sqrt(1.0 - tau_in)
-    u = np.array([[np.exp(1j * phi) * t, np.exp(1j * phi) * rcoef],
-                  [rcoef, t]])
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = u
-    out[2:, 2:] = u.conj()
+    t = np.sqrt(tau_in)
+    rcoef = 1j * np.sqrt(1.0 - tau_in)
+    out = np.zeros(phi.shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = np.exp(1j * phi) * t
+    out[..., 0, 1] = np.exp(1j * phi) * rcoef
+    out[..., 1, 0] = rcoef
+    out[..., 1, 1] = t
+    out[..., 2:, 2:] = out[..., :2, :2].conj()
     return out
 
 
 @dataclass(frozen=True)
 class EvolvedGaussian:
-    """Output state along with its analytic parameter derivatives."""
+    """Output state along with its analytic parameter derivatives (or a stack)."""
 
     sigma: np.ndarray
     d: np.ndarray
@@ -217,51 +291,123 @@ class EvolvedGaussian:
         return GaussianState(self.sigma, self.d)
 
 
-def evolve_with_derivatives(state: GaussianState, params: ChannelParams,
-                            tau_in: float) -> EvolvedGaussian:
-    """Push (sigma, d) through beamsplitter, phase and loss, with derivatives."""
-    eta = params.eta
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    return (mat @ vec[..., None])[..., 0]
+
+
+def evolve_with_derivatives(state: GaussianState, params,
+                            tau_in) -> EvolvedGaussian:
+    """Push (sigma, d) through beamsplitter, phase and loss, with derivatives.
+
+    ``params`` supplies phi and eta (a ChannelParams or ChannelPoints); they
+    and tau_in broadcast against the stack of states.  Loss and the phase
+    generator are diagonal, so they act as entrywise row and column scalings.
+    """
+    eta = np.asarray(params.eta, dtype=float)
     u4 = mode_unitary(params.phi, tau_in)
-    d_gen = np.diag([1j, 0.0, -1j, 0.0])
-    root = np.diag([math.sqrt(eta), 1.0, math.sqrt(eta), 1.0]).astype(complex)
-    root_eta = np.diag([0.5 / math.sqrt(eta), 0.0, 0.5 / math.sqrt(eta), 0.0])
+    root_eta = np.sqrt(eta)
+    ones, zeros = np.ones_like(root_eta), np.zeros_like(root_eta)
+    root = np.stack([root_eta, ones, root_eta, ones], axis=-1)
+    droot = np.stack([0.5 / root_eta, zeros, 0.5 / root_eta, zeros], axis=-1)
+    gen = np.array([1j, 0.0, -1j, 0.0])
 
-    s_rot = u4 @ state.sigma @ u4.conj().T
-    d_rot = u4 @ state.d
-    sigma_out = root @ (s_rot - np.eye(4)) @ root + np.eye(4)
-    d_out = root @ d_rot
+    s_rot = u4 @ state.sigma @ u4.conj().swapaxes(-1, -2)
+    d_rot = _matvec(u4, state.d)
+    excess = s_rot - np.eye(4)
+    rows, cols = root[..., :, None], root[..., None, :]
+    drows, dcols = droot[..., :, None], droot[..., None, :]
+    sigma_out = rows * excess * cols + np.eye(4)
+    ds_rot = gen[:, None] * s_rot + s_rot * gen.conj()[None, :]
+    dsigma_phi = rows * ds_rot * cols
+    dsigma_eta = drows * excess * cols + rows * excess * dcols
+    return EvolvedGaussian(sigma_out, root * d_rot, dsigma_phi, dsigma_eta,
+                           root * (gen * d_rot), droot * d_rot)
 
-    ds_rot = d_gen @ s_rot + s_rot @ d_gen.conj().T
-    dsigma_phi = root @ ds_rot @ root
-    dd_phi = root @ (d_gen @ d_rot)
-    dsigma_eta = root_eta @ (s_rot - np.eye(4)) @ root + root @ (s_rot - np.eye(4)) @ root_eta
-    dd_eta = root_eta @ d_rot
-    return EvolvedGaussian(sigma_out, d_out, dsigma_phi, dsigma_eta, dd_phi, dd_eta)
 
-
-def evolve(state: GaussianState, params: ChannelParams, tau_in: float) -> GaussianState:
+def evolve(state: GaussianState, params, tau_in) -> GaussianState:
     """Output Gaussian state of the phase+loss channel."""
     return evolve_with_derivatives(state, params, tau_in).state()
 
 
 def _vec(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1, order="F")
+    """Column-stacking vec of each matrix of a stack."""
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
 
 
-def _solve_psd(mat: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) -> np.ndarray:
-    """Solve mat x = rhs, falling back to a pseudo-inverse on rank deficiency."""
-    try:
-        cond = np.linalg.cond(mat)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1.0 / pinv_tol:
-        return np.linalg.pinv(mat, rcond=pinv_tol) @ rhs
-    return np.linalg.solve(mat, rhs)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of each pair of a stack: out[4i+k, 4j+l] = a[i, j] b[k, l]."""
+    n = a.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (n * n, n * n))
 
 
-def gaussian_qfi(state: GaussianState, params: ChannelParams, tau_in: float,
-                 w: np.ndarray = None, n_for_limits: float = None) -> QfiReport:
-    """Information matrix of the evolved Gaussian state.
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.vdot of each pair of a (P, n) stack of vectors, as one BLAS dot each."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _solve_psd(mat: np.ndarray, rhs, pinv_tol: float = _PINV_TOL):
+    """Solve mat x = b over a (P, n, n) stack for each (P, n) stack b in ``rhs``,
+    falling back to a pseudo-inverse on rank deficiency.
+
+    One SVD per point gives the condition number and, where it exceeds
+    1/pinv_tol, the pseudo-inverse (built as numpy.linalg.pinv builds it);
+    the other points take an LU solve.  Each right-hand side is solved as a
+    matrix-vector problem of its own, so that every point gets the bits a
+    single-point solve gives: rounding noise that an ill-conditioned point
+    reports stays the same whatever stack it is solved in.
+    Returns (solutions, pinv mask, condition numbers).
+    """
+    u, s, vt = np.linalg.svd(mat.conj(), full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    cond[np.isnan(cond)] = np.inf
+    pinv = ~(cond <= 1.0 / pinv_tol)
+    sols = [np.empty(b.shape, dtype=complex) for b in rhs]
+    if pinv.any():
+        on = _points(pinv)
+        s_p = s[on]
+        large = s_p > pinv_tol * s_p[:, :1]
+        inv_s = np.divide(1.0, s_p, where=large, out=np.zeros_like(s_p))
+        pinv_mat = vt[on].swapaxes(-1, -2) @ (inv_s[..., None] * u[on].swapaxes(-1, -2))
+        for b, x in zip(rhs, sols):
+            x[on] = _matvec(pinv_mat, b[on])
+    if not pinv.all():
+        on = _points(~pinv)
+        for b, x in zip(rhs, sols):
+            x[on] = np.linalg.solve(mat[on], b[on][..., None])[..., 0]
+    return sols, pinv, cond
+
+
+def _points(mask: np.ndarray):
+    """Index of the masked points: a slice when it holds all of them, so
+    that indexing with it copies no stack."""
+    return slice(None) if mask.all() else mask
+
+
+def _qfi_chunk(sig, dsig_phi, dsig_eta, dd_phi, dd_eta):
+    """(F, i_phieta, pinv, cond) of a (P, 4, 4) stack of evolved states."""
+    vec_phi, vec_eta = _vec(dsig_phi), _vec(dsig_eta)
+    (sol_phi, sol_eta), pinv_m, cond_m = _solve_psd(_kron(sig.conj(), sig) - _OMEGA_KRON,
+                                                    [vec_phi, vec_eta])
+    (inv_dphi, inv_deta), pinv_s, cond_s = _solve_psd(sig, [dd_phi, dd_eta])
+
+    def entry(vec_i, sol_j, dd_i, inv_dd_j):
+        return (0.5 * _vdot(vec_i, sol_j) + 2.0 * _vdot(dd_i, inv_dd_j)).real
+
+    f = np.empty((len(sig), 2, 2))
+    f[:, 0, 0] = entry(vec_phi, sol_phi, dd_phi, inv_dphi)
+    f[:, 1, 1] = entry(vec_eta, sol_eta, dd_eta, inv_deta)
+    f[:, 0, 1] = f[:, 1, 0] = entry(vec_phi, sol_eta, dd_phi, inv_deta)
+    sandwich = _kron(sig.conj(), OMEGA)
+    sandwich -= _kron(OMEGA, sig)
+    comm = _vdot(sol_eta, _matvec(sandwich, sol_phi))
+    comm += 4.0 * _vdot(inv_deta, _OMEGA_DIAG * inv_dphi)
+    return f, 1j * comm.imag, pinv_m | pinv_s, np.maximum(cond_m, cond_s)
+
+
+def evolved_qfi(ev: EvolvedGaussian, w: np.ndarray = None) -> QfiReport:
+    """Information matrix of an evolved Gaussian state or stack of them.
 
     Uses the covariance/displacement formulas
         F_ij  = (1/2) vec(d_i sigma)' M^-1 vec(d_j sigma) + 2 d_i d' sigma^-1 d_j d
@@ -269,65 +415,92 @@ def gaussian_qfi(state: GaussianState, params: ChannelParams, tau_in: float,
     and the analogous sandwich with Omega replacing one sigma factor for the
     SLD-commutator term, reported as the full Tr(rho [L_eta, L_phi]) of the
     covariance formalism (twice the blockwise number-basis convention).
-    For eta = 1 the state stays pure and M is solved on its support.
+    A point whose M or sigma has condition number above 1e10 (a near-pure
+    output: eta -> 1, or any pure probe, since the lossless reference mode
+    keeps one symplectic mode of the output pure) is solved on its support
+    by the pseudo-inverse; the report's ``pinv`` and ``cond`` record this
+    per point.  The stack is solved CHUNK points at a time.  With ``w`` (one
+    matrix or one per point) the scalar bounds are filled in.
     """
-    ev = evolve_with_derivatives(state, params, tau_in)
-    sig = ev.sigma
-    m_mat = np.kron(sig.conj(), sig) - np.kron(OMEGA, OMEGA)
-    vec_phi = _vec(ev.dsigma_phi)
-    vec_eta = _vec(ev.dsigma_eta)
-    sol_phi = _solve_psd(m_mat, vec_phi)
-    sol_eta = _solve_psd(m_mat, vec_eta)
-    sig_inv_dphi = _solve_psd(sig, ev.dd_phi)
-    sig_inv_deta = _solve_psd(sig, ev.dd_eta)
-
-    def f_entry(vec_i, sol_j, dd_i, sig_inv_dd_j):
-        val = 0.5 * np.vdot(vec_i, sol_j) + 2.0 * np.vdot(dd_i, sig_inv_dd_j)
-        return complex(val)
-
-    f = np.zeros((2, 2))
-    f[0, 0] = f_entry(vec_phi, sol_phi, ev.dd_phi, sig_inv_dphi).real
-    f[1, 1] = f_entry(vec_eta, sol_eta, ev.dd_eta, sig_inv_deta).real
-    f[0, 1] = f[1, 0] = f_entry(vec_phi, sol_eta, ev.dd_phi, sig_inv_deta).real
-
-    sandwich = np.kron(sig.conj(), OMEGA) - np.kron(OMEGA, sig)
-    comm = np.vdot(sol_eta, sandwich @ sol_phi)
-    comm += 4.0 * np.vdot(sig_inv_deta, OMEGA @ sig_inv_dphi)
-    i_pe = 1j * comm.imag
-
-    report = QfiReport(f=f, i_phieta=i_pe)
-    if w is None and n_for_limits is not None:
-        lim = _bounds.fundamental_limits(n_for_limits, params.eta)
-        w = np.diag([lim.f_phi_max_s12, lim.f_eta_max])
+    batch = ev.sigma.shape[:-2]
+    arrays = [np.reshape(a, (-1,) + a.shape[len(batch):])
+              for a in (ev.sigma, ev.dsigma_phi, ev.dsigma_eta, ev.dd_phi, ev.dd_eta)]
+    n_pts = arrays[0].shape[0]
+    f = np.empty((n_pts, 2, 2))
+    i_pe = np.empty(n_pts, dtype=complex)
+    pinv = np.empty(n_pts, dtype=bool)
+    cond = np.empty(n_pts)
+    for lo in range(0, n_pts, CHUNK):
+        part = slice(lo, lo + CHUNK)
+        f[part], i_pe[part], pinv[part], cond[part] = _qfi_chunk(*(a[part] for a in arrays))
+    report = QfiReport(f=f.reshape(batch + (2, 2)), i_phieta=i_pe.reshape(batch)[()],
+                       pinv=pinv.reshape(batch)[()], cond=cond.reshape(batch)[()])
     if w is not None:
         complete_report(report, w)
     return report
 
 
+def _limit_weights(n, eta) -> np.ndarray:
+    """The channel optima's weight matrix at budget n and transmissivity eta, per point."""
+    n, eta = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(eta, dtype=float))
+    weights = [_bounds.fundamental_limits(float(n_k), float(eta_k)).weights()
+               for n_k, eta_k in zip(n.ravel(), eta.ravel())]
+    return np.array(weights).reshape(n.shape + (2, 2))
+
+
+def gaussian_qfi(state: GaussianState, params, tau_in,
+                 w: np.ndarray = None, n_for_limits=None) -> QfiReport:
+    """Information matrix of the evolved Gaussian state (or stack of states).
+
+    Evolves once and solves by ``evolved_qfi``.  Without ``w``, the weights
+    of the scalar bounds are the channel optima at ``n_for_limits`` photons,
+    when it is given.
+    """
+    ev = evolve_with_derivatives(state, params, tau_in)
+    if w is None and n_for_limits is not None:
+        w = _limit_weights(n_for_limits, params.eta)
+    return evolved_qfi(ev, w)
+
+
 def photon_moments(state: GaussianState):
     """Mean photon number per mode and the sensing-mode number variance."""
-    n1 = (state.sigma[0, 0].real - 1.0) / 2.0 + abs(state.d[0]) ** 2
-    n2 = (state.sigma[1, 1].real - 1.0) / 2.0 + abs(state.d[1]) ** 2
-    n_c = (state.sigma[0, 0].real - 1.0) / 2.0
-    m_c = state.sigma[0, 2] / 2.0
-    d1 = state.d[0]
-    var1 = (abs(d1) ** 2 * (2.0 * n_c + 1.0)
+    sig, d = state.sigma, state.d
+    n_c = (sig[..., 0, 0].real - 1.0) / 2.0
+    n1 = n_c + np.abs(d[..., 0]) ** 2
+    n2 = (sig[..., 1, 1].real - 1.0) / 2.0 + np.abs(d[..., 1]) ** 2
+    m_c = sig[..., 0, 2] / 2.0
+    d1 = d[..., 0]
+    var1 = (np.abs(d1) ** 2 * (2.0 * n_c + 1.0)
             + 2.0 * (np.conj(d1) ** 2 * m_c).real
-            + n_c * (n_c + 1.0) + abs(m_c) ** 2)
-    return float(n1), float(n2), float(var1)
+            + n_c * (n_c + 1.0) + np.abs(m_c) ** 2)
+    return _point(n1), _point(n2), _point(var1)
 
 
 def number_covariance(state: GaussianState, i: int, j: int) -> float:
     """Symmetrized covariance of the mode photon numbers n_i, n_j (0-based)."""
     sig = state.sigma
     d = state.d
-    m_ij = sig[i, j + 2] / 2.0
-    s_ij = sig[i, j]
+    m_ij = sig[..., i, j + 2] / 2.0
+    s_ij = sig[..., i, j]
     delta = 1.0 if i == j else 0.0
-    val = (2.0 * (np.conj(d[i]) * np.conj(d[j]) * m_ij).real
-           + (np.conj(d[i]) * d[j] * s_ij).real
-           + abs(m_ij) ** 2 + (abs(s_ij) ** 2 - delta) / 4.0)
-    return float(val)
+    val = (2.0 * (np.conj(d[..., i]) * np.conj(d[..., j]) * m_ij).real
+           + (np.conj(d[..., i]) * d[..., j] * s_ij).real
+           + np.abs(m_ij) ** 2 + (np.abs(s_ij) ** 2 - delta) / 4.0)
+    return _point(val)
+
+
+def probe_moments(probe_or_state):
+    """Sensing-mode photon mean and variance of a probe, either layout.
+
+    Accepts a number-basis probe (coefficient vector) or a Gaussian state;
+    convenience for feeding the moment bounds of ``bounds``.
+    """
+    if isinstance(probe_or_state, FockProbe):
+        return probe_statistics(probe_or_state)
+    if isinstance(probe_or_state, GaussianState):
+        mean_n, _, var_n = photon_moments(probe_or_state)
+        return mean_n, var_n
+    raise InvalidInput(f"cannot extract moments from {type(probe_or_state).__name__}")
 
 
 # ---------------------------------------------------------------------------

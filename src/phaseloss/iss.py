@@ -20,8 +20,10 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import qfi as _qfi
+# probe_statistics is re-exported: callers import it from this module too
 from .channel import (ChannelParams, FockProbe, KrausFamily, Scenario,
-                      apply_channel, apply_channel_derivatives, build_kraus)
+                      _single_mode_output, apply_channel,
+                      apply_channel_derivatives, build_kraus, probe_statistics)
 from .errors import InvalidInput
 from .linalg import DEFAULT_RANK_TOL, hermitianize, solve_sld
 
@@ -58,14 +60,6 @@ class IssResult:
     restart_objectives: list = field(default_factory=list)
 
 
-def probe_statistics(probe: FockProbe):
-    """Sensing-mode photon number mean and variance of the input probe."""
-    p = np.abs(probe.coeffs) ** 2
-    n = np.arange(len(p))
-    mean = float(np.dot(n, p))
-    return mean, float(np.dot(n ** 2, p) - mean ** 2)
-
-
 def channel_slds(probe: FockProbe, kraus: KrausFamily,
                  rank_tol: float = DEFAULT_RANK_TOL):
     """SLD pair (L_phi, L_eta) of the channel output at the given probe.
@@ -74,11 +68,11 @@ def channel_slds(probe: FockProbe, kraus: KrausFamily,
     of the output, and as block lists for the two-mode layout (analytic rank-1
     form per block).
     """
-    rho = apply_channel(probe, kraus)
     if kraus.scenario is Scenario.SINGLE:
-        drho = np.stack([d.blocks[0] for d in apply_channel_derivatives(probe, kraus)])
-        l_phi, l_eta = solve_sld(rho.blocks[0], drho, rank_tol)
+        rho, drho = _single_mode_output(probe, kraus)
+        l_phi, l_eta = solve_sld(rho, drho, rank_tol)
         return l_phi, l_eta
+    rho = apply_channel(probe, kraus)
     dphi, deta = apply_channel_derivatives(probe, kraus)
     l_phi, l_eta = [], []
     for rho_b, dp_b, de_b in zip(rho.blocks, dphi.blocks, deta.blocks):

@@ -6,6 +6,10 @@ detectors.  Homodyne works on Gaussian outputs only (the quadrature first
 moments of a fixed-total-photon state vanish identically).  Estimation uses
 first moments: the generalized error propagation inverts the observable
 covariance against the parameter derivatives of the means.
+
+Gaussian outputs may be stacks of points (see ``gaussian``); the detection
+scheme's tau_out and xi then broadcast against the stack, and every moment
+and variance comes out with the stack's leading shape.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import BlockDensity, ChannelParams, Scenario, beamsplitter_sector
+from .channel import BlockDensity, Scenario, beamsplitter_sector
 from .errors import InvalidInput, Unsupported
-from .gaussian import (EnergySplit, EvolvedGaussian, GaussianState, ProbeFamily,
-                       evolve_with_derivatives, make_probe, number_covariance,
-                       spec_from_split)
+from .gaussian import (ChannelPoints, EnergySplit, EvolvedGaussian, GaussianState,
+                       ProbeFamily, _matvec, evolve_with_derivatives, make_probe,
+                       number_covariance, spec_from_split)
+from .qfi import _point
 
 _COV_RANK_TOL = 1e-12
 
@@ -32,19 +37,24 @@ class SchemeKind(str, Enum):
 
 @dataclass(frozen=True)
 class DetectionScheme:
+    """Detection kind with its splitter transmissivity and quadrature phase;
+    tau_out and xi may be arrays, one value per point of a Gaussian stack."""
+
     kind: SchemeKind
     tau_out: float = 1.0
     xi: float = 0.0     # homodyne quadrature phase; ignored for counting
 
     def __post_init__(self):
-        if not (0.0 <= self.tau_out <= 1.0):
+        tau = np.asarray(self.tau_out, dtype=float)
+        if not np.all((0.0 <= tau) & (tau <= 1.0)):
             raise InvalidInput("tau_out must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class MomentSet:
     """First moments of the two observables, their parameter derivatives
-    with respect to (phi, eta), and the symmetrized 2x2 covariance."""
+    with respect to (phi, eta), and the symmetrized 2x2 covariance; for a
+    stack, (..., 2) vectors and (..., 2, 2) covariances."""
 
     means: np.ndarray
     dphi: np.ndarray
@@ -52,12 +62,13 @@ class MomentSet:
     cov: np.ndarray
 
 
-def _splitter_4x4(tau: float) -> np.ndarray:
-    b2 = np.array([[math.sqrt(tau), -1j * math.sqrt(1.0 - tau)],
-                   [-1j * math.sqrt(1.0 - tau), math.sqrt(tau)]])
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = b2
-    out[2:, 2:] = b2.conj()
+def _splitter_4x4(tau) -> np.ndarray:
+    tau = np.asarray(tau, dtype=float)
+    t, rcoef = np.sqrt(tau), -1j * np.sqrt(1.0 - tau)
+    out = np.zeros(tau.shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = t
+    out[..., 0, 1] = out[..., 1, 0] = rcoef
+    out[..., 2:, 2:] = out[..., :2, :2].conj()
     return out
 
 
@@ -69,19 +80,19 @@ def output_transform(scheme: DetectionScheme, state):
     their fixed-total-photon sectors.  The single-mode layout has no second
     mode to mix and passes through unchanged.
     """
-    if isinstance(state, EvolvedGaussian):
+    if isinstance(state, (EvolvedGaussian, GaussianState)):
         b4 = _splitter_4x4(scheme.tau_out)
+        b4_h = b4.conj().swapaxes(-1, -2)
+        if isinstance(state, GaussianState):
+            return GaussianState(b4 @ state.sigma @ b4_h, _matvec(b4, state.d))
         return EvolvedGaussian(
-            sigma=b4 @ state.sigma @ b4.conj().T,
-            d=b4 @ state.d,
-            dsigma_phi=b4 @ state.dsigma_phi @ b4.conj().T,
-            dsigma_eta=b4 @ state.dsigma_eta @ b4.conj().T,
-            dd_phi=b4 @ state.dd_phi,
-            dd_eta=b4 @ state.dd_eta,
+            sigma=b4 @ state.sigma @ b4_h,
+            d=_matvec(b4, state.d),
+            dsigma_phi=b4 @ state.dsigma_phi @ b4_h,
+            dsigma_eta=b4 @ state.dsigma_eta @ b4_h,
+            dd_phi=_matvec(b4, state.dd_phi),
+            dd_eta=_matvec(b4, state.dd_eta),
         )
-    if isinstance(state, GaussianState):
-        b4 = _splitter_4x4(scheme.tau_out)
-        return GaussianState(b4 @ state.sigma @ b4.conj().T, b4 @ state.d)
     if isinstance(state, BlockDensity):
         if state.scenario is Scenario.SINGLE:
             return state
@@ -94,27 +105,32 @@ def output_transform(scheme: DetectionScheme, state):
     raise InvalidInput(f"cannot transform {type(state).__name__}")
 
 
+_TO_PM = np.array([[1.0, 1.0], [1.0, -1.0]])     # (n1, n2) -> (sum, difference)
+
+
 def _gaussian_number_moments(ev: EvolvedGaussian) -> MomentSet:
     sig, d = ev.sigma, ev.d
     state = GaussianState(sig, d)
-    means_n = np.array([(sig[k, k].real - 1.0) / 2.0 + abs(d[k]) ** 2 for k in (0, 1)])
+    means_n = (np.diagonal(sig, axis1=-2, axis2=-1)[..., :2].real - 1.0) / 2.0 \
+        + np.abs(d[..., :2]) ** 2
 
     def dn(dsig, dd):
-        return np.array([dsig[k, k].real / 2.0 + 2.0 * (np.conj(d[k]) * dd[k]).real
-                         for k in (0, 1)])
+        # Re(conj(d) dd) from real products: a vectorized complex product may
+        # fuse them, and a signal that cancels exactly must stay exactly zero
+        return (np.diagonal(dsig, axis1=-2, axis2=-1)[..., :2].real / 2.0
+                + 2.0 * (d[..., :2].real * dd[..., :2].real
+                         + d[..., :2].imag * dd[..., :2].imag))
 
-    dn_phi = dn(ev.dsigma_phi, ev.dd_phi)
-    dn_eta = dn(ev.dsigma_eta, ev.dd_eta)
     v11 = number_covariance(state, 0, 0)
     v22 = number_covariance(state, 1, 1)
     v12 = number_covariance(state, 0, 1)
-    to_pm = np.array([[1.0, 1.0], [1.0, -1.0]])
-    cov_n = np.array([[v11, v12], [v12, v22]])
+    cov_n = np.stack([np.stack([v11, v12], axis=-1), np.stack([v12, v22], axis=-1)],
+                     axis=-2)
     return MomentSet(
-        means=to_pm @ means_n,
-        dphi=to_pm @ dn_phi,
-        deta=to_pm @ dn_eta,
-        cov=to_pm @ cov_n @ to_pm.T,
+        means=means_n @ _TO_PM.T,
+        dphi=dn(ev.dsigma_phi, ev.dd_phi) @ _TO_PM.T,
+        deta=dn(ev.dsigma_eta, ev.dd_eta) @ _TO_PM.T,
+        cov=_TO_PM @ cov_n @ _TO_PM.T,
     )
 
 
@@ -147,13 +163,12 @@ def _fock_number_moments(rho: BlockDensity, drho_phi: BlockDensity,
     v11 = acc["n1n1"] - acc["n1"] ** 2
     v22 = acc["n2n2"] - acc["n2"] ** 2
     v12 = acc["n1n2"] - acc["n1"] * acc["n2"]
-    to_pm = np.array([[1.0, 1.0], [1.0, -1.0]])
     cov_n = np.array([[v11, v12], [v12, v22]])
     return MomentSet(
-        means=to_pm @ np.array([acc["n1"], acc["n2"]]),
-        dphi=to_pm @ np.array([acc["p1"], acc["p2"]]),
-        deta=to_pm @ np.array([acc["e1"], acc["e2"]]),
-        cov=to_pm @ cov_n @ to_pm.T,
+        means=_TO_PM @ np.array([acc["n1"], acc["n2"]]),
+        dphi=_TO_PM @ np.array([acc["p1"], acc["p2"]]),
+        deta=_TO_PM @ np.array([acc["e1"], acc["e2"]]),
+        cov=_TO_PM @ cov_n @ _TO_PM.T,
     )
 
 
@@ -189,42 +204,42 @@ def homodyne_moments(state, scheme: DetectionScheme) -> MomentSet:
     if not isinstance(state, EvolvedGaussian):
         raise InvalidInput(f"cannot compute homodyne moments for {type(state).__name__}")
     ev = output_transform(scheme, state)
-    phase = np.exp(-1j * scheme.xi)
+    phase = np.exp(-1j * np.asarray(scheme.xi, dtype=float))
     sig = ev.sigma
 
     def mean_of(d):
-        return np.array([2.0 * (phase * d[k]).real for k in (0, 1)])
+        return 2.0 * (phase[..., None] * d[..., :2]).real
 
-    var = [sig[k, k].real + (phase ** 2 * sig[k, k + 2]).real for k in (0, 1)]
-    cov12 = (phase ** 2 * sig[0, 3]).real + sig[0, 1].real
+    var = [sig[..., k, k].real + (phase ** 2 * sig[..., k, k + 2]).real for k in (0, 1)]
+    cov12 = (phase ** 2 * sig[..., 0, 3]).real + sig[..., 0, 1].real
     return MomentSet(
         means=mean_of(ev.d),
         dphi=mean_of(ev.dd_phi),
         deta=mean_of(ev.dd_eta),
-        cov=np.array([[var[0], cov12], [cov12, var[1]]]),
+        cov=np.stack([np.stack([var[0], cov12], axis=-1),
+                      np.stack([cov12, var[1]], axis=-1)], axis=-2),
     )
 
 
 def error_propagation(moments: MomentSet):
-    """First-moment estimation variances (var_phi, var_eta).
+    """First-moment estimation variances (var_phi, var_eta), per point of a stack.
 
     Inverts the observable covariance on its numerical support; observables
     with no noise and no signal drop out, and a parameter with no signal at
     all gets an infinite-variance sentinel.
     """
     vals, vecs = np.linalg.eigh(moments.cov)
-    floor = _COV_RANK_TOL * max(vals.max(), 1.0)
+    floor = _COV_RANK_TOL * np.maximum(vals[..., -1], 1.0)[..., None]
+    live = vals > floor
     out = []
     for g in (moments.dphi, moments.deta):
-        comps = vecs.T @ g
-        info = 0.0
-        for lam, comp in zip(vals, comps):
-            if lam > floor:
-                info += comp ** 2 / lam
-            elif abs(comp) > math.sqrt(floor) * 1e3:
-                info = math.inf     # noiseless observable with signal
-                break
-        out.append(1.0 / info if info > 0.0 else math.inf)
+        comps = _matvec(vecs.swapaxes(-1, -2), np.asarray(g, dtype=float))
+        info = np.where(live, comps ** 2 / np.where(live, vals, 1.0), 0.0).sum(axis=-1)
+        # a noiseless observable with signal
+        blind = (~live & (np.abs(comps) > np.sqrt(floor) * 1e3)).any(axis=-1)
+        info = np.where(blind, np.inf, info)
+        with np.errstate(divide="ignore"):
+            out.append(_point(np.where(info > 0.0, 1.0 / info, np.inf)))
     return out[0], out[1]
 
 
@@ -246,8 +261,7 @@ def half_photon_counting(n_total: float, eta: float, p: float = 0.5,
         theta = (theta1 + mu * 2 - math.pi) / 2.0
         spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=mu, theta=theta,
                                theta1=theta1, theta2=mu * 2, chi=chi, tau_in=tau_in)
-        ev = evolve_with_derivatives(make_probe(spec),
-                                     ChannelParams(phi_op, eta, 1), tau_in)
+        ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(phi_op, eta), tau_in)
         moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING,
                                                        tau_out=tau_out))
         out.append(2.0 * error_propagation(moments)[pick])

@@ -35,6 +35,13 @@ class QfiReport:
     w          -- weight matrix used for the scalar bounds (or None)
     c_s        -- Tr(W F^-1)
     c_h_bar    -- c_s plus the trace-norm incompatibility penalty
+    pinv       -- covariance-formula reports: whether the point's solves took
+                  the pseudo-inverse path (a near-pure output)
+    cond       -- covariance-formula reports: the largest condition number
+                  of the point's solves
+
+    Reports of a stack of points hold arrays with the stack's leading shape:
+    f is (..., 2, 2) and every scalar field is (...).
     """
 
     f: np.ndarray
@@ -42,6 +49,8 @@ class QfiReport:
     w: np.ndarray = None
     c_s: float = None
     c_h_bar: float = None
+    pinv: bool = None
+    cond: float = None
 
 
 def _pure_block_slds(rho_b: np.ndarray, drho_b: np.ndarray, q: float) -> np.ndarray:
@@ -138,22 +147,38 @@ def pure_block_report(probe: FockProbe, kraus: KrausFamily) -> QfiReport:
     return QfiReport(f=f, i_phieta=1j * z.imag)
 
 
+def _point(values):
+    """A stack result as it is, a single point's as a Python float."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
-    """Weighted scalar bound Tr(W F^-1)."""
+    """Weighted scalar bound Tr(W F^-1), pointwise over stacks (..., 2, 2).
+
+    Raises SingularInformation for the first numerically singular point,
+    with its near-null direction and, for a stack, its flat index.
+    """
     f = np.asarray(f, dtype=float)
     evals, evecs = np.linalg.eigh(f)
-    if evals.min() <= 0 or evals.max() / evals.min() > 1e12:
+    lo, hi = evals[..., 0], evals[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (lo <= 0) | (hi / lo > 1e12)
+    if singular.any():
+        k = int(np.argmax(singular.reshape(-1)))
+        vals = evals.reshape(-1, 2)[k]
         raise SingularInformation(
             "information matrix is numerically singular",
-            direction=evecs[:, int(np.argmin(np.abs(evals)))])
-    return float(np.trace(np.asarray(w, dtype=float) @ np.linalg.inv(f)))
+            direction=evecs.reshape(-1, 2, 2)[k][:, int(np.argmin(np.abs(vals)))],
+            index=k if singular.ndim else None)
+    f_inv = np.linalg.inv(f)
+    return _point(np.einsum("...ij,...ji->...", np.asarray(w, dtype=float), f_inv))
 
 
 def _sqrtm_psd(w: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(np.asarray(w, dtype=float))
     if vals.min() < -1e-12:
         raise InvalidInput("weight matrix must be positive semidefinite")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def hcrb_upper(f: np.ndarray, i_phieta: complex, w: np.ndarray) -> float:
@@ -162,14 +187,17 @@ def hcrb_upper(f: np.ndarray, i_phieta: complex, w: np.ndarray) -> float:
     The penalty is the largest singular value of sqrt(W) F^-1 I F^-1 sqrt(W)
     with the antisymmetric imaginary matrix I built from the SLD-commutator
     expectation; it vanishes exactly when i_phieta does, and never exceeds
-    C_S, so C_S <= result <= 2 C_S.
+    C_S, so C_S <= result <= 2 C_S.  Pointwise over stacks (..., 2, 2).
     """
     c_s = scalar_crb(f, w)
-    i_mat = np.array([[0.0, i_phieta], [-i_phieta, 0.0]], dtype=complex)
+    i_pe = np.asarray(i_phieta, dtype=complex)
+    i_mat = np.zeros(i_pe.shape + (2, 2), dtype=complex)
+    i_mat[..., 0, 1] = i_pe
+    i_mat[..., 1, 0] = -i_pe
     f_inv = np.linalg.inv(np.asarray(f, dtype=float))
     w_half = _sqrtm_psd(w)
     sandwich = w_half @ f_inv @ i_mat @ f_inv @ w_half
-    return c_s + float(np.linalg.norm(sandwich, 2))
+    return c_s + _point(np.linalg.svd(sandwich, compute_uv=False)[..., 0])
 
 
 def probe_quantifier(f: np.ndarray, fmax_phi: float, fmax_eta: float) -> float:
@@ -190,7 +218,10 @@ def meas_quantifiers(report: QfiReport) -> float:
 
 
 def complete_report(report: QfiReport, w: np.ndarray) -> QfiReport:
-    """Fill the weighted scalar bounds of a report in place and return it."""
+    """Fill the weighted scalar bounds of a report in place and return it.
+
+    A stacked report takes one weight matrix or a stack of them.
+    """
     report.w = np.asarray(w, dtype=float)
     report.c_s = scalar_crb(report.f, report.w)
     report.c_h_bar = hcrb_upper(report.f, report.i_phieta, report.w)
@@ -215,8 +246,7 @@ def channel_report(probe: FockProbe, params: ChannelParams,
         dphi, deta = apply_channel_derivatives(probe, kraus)
         report = qfi_matrix(rho, dphi, deta, rank_tol=rank_tol)
     if w is None:
-        lim = _bounds.fundamental_limits(probe.n_max, params.eta)
-        w = np.diag([lim.f_phi_max_s12, lim.f_eta_max])
+        w = np.array(_bounds.fundamental_limits(probe.n_max, params.eta).weights())
     try:
         complete_report(report, w)
     except SingularInformation:

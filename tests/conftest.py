@@ -220,3 +220,132 @@ def random_two_mode_spec(rng, n_total_max=3.0, families=("single", "two")):
     return GaussianProbeSpec(fam, alpha=math.sqrt(n_a), mu=float(rng.uniform(0, 2 * np.pi)),
                              r=r, theta=theta, theta1=theta1, theta2=theta2,
                              chi=chi, tau_in=tau_in)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian per-point oracles: the former single-point bodies of the batched
+# covariance path, kept as the reference the stacked arithmetic must match
+# ---------------------------------------------------------------------------
+
+_OMEGA = np.diag([1.0, 1.0, -1.0, -1.0])
+
+
+def evolve_oracle(sigma, d, phi, eta, tau_in):
+    """One point through beamsplitter, phase and loss by dense 4x4 products.
+
+    Returns (sigma, d, dsigma_phi, dsigma_eta, dd_phi, dd_eta).
+    """
+    t, rcoef = math.sqrt(tau_in), 1j * math.sqrt(1.0 - tau_in)
+    u = np.array([[np.exp(1j * phi) * t, np.exp(1j * phi) * rcoef], [rcoef, t]])
+    u4 = np.zeros((4, 4), dtype=complex)
+    u4[:2, :2], u4[2:, 2:] = u, u.conj()
+    d_gen = np.diag([1j, 0.0, -1j, 0.0])
+    root = np.diag([math.sqrt(eta), 1.0, math.sqrt(eta), 1.0]).astype(complex)
+    root_eta = np.diag([0.5 / math.sqrt(eta), 0.0, 0.5 / math.sqrt(eta), 0.0])
+    s_rot = u4 @ sigma @ u4.conj().T
+    d_rot = u4 @ d
+    ds_rot = d_gen @ s_rot + s_rot @ d_gen.conj().T
+    return (root @ (s_rot - np.eye(4)) @ root + np.eye(4), root @ d_rot,
+            root @ ds_rot @ root,
+            root_eta @ (s_rot - np.eye(4)) @ root + root @ (s_rot - np.eye(4)) @ root_eta,
+            root @ (d_gen @ d_rot), root_eta @ d_rot)
+
+
+def solve_psd_oracle(mat, rhs, pinv_tol=1e-10):
+    """Solve mat x = rhs, by pseudo-inverse when cond(mat) exceeds 1/pinv_tol.
+
+    Returns (x, whether the pseudo-inverse served).
+    """
+    try:
+        cond = np.linalg.cond(mat)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not np.isfinite(cond) or cond > 1.0 / pinv_tol:
+        return np.linalg.pinv(mat, rcond=pinv_tol) @ rhs, True
+    return np.linalg.solve(mat, rhs), False
+
+
+def gaussian_qfi_oracle(evolved):
+    """(F, i_phieta, pinv) of one evolved point from the covariance formulas,
+    each Kronecker system solved on its own by ``solve_psd_oracle``."""
+    sig, _, dsig_phi, dsig_eta, dd_phi, dd_eta = evolved
+    m_mat = np.kron(sig.conj(), sig) - np.kron(_OMEGA, _OMEGA)
+    vec_phi, vec_eta = dsig_phi.reshape(-1, order="F"), dsig_eta.reshape(-1, order="F")
+    solved = [solve_psd_oracle(m_mat, vec_phi), solve_psd_oracle(m_mat, vec_eta),
+              solve_psd_oracle(sig, dd_phi), solve_psd_oracle(sig, dd_eta)]
+    sol_phi, sol_eta, inv_dphi, inv_deta = (x for x, _ in solved)
+
+    def entry(vec_i, sol_j, dd_i, inv_dd_j):
+        return (0.5 * np.vdot(vec_i, sol_j) + 2.0 * np.vdot(dd_i, inv_dd_j)).real
+
+    f = np.zeros((2, 2))
+    f[0, 0] = entry(vec_phi, sol_phi, dd_phi, inv_dphi)
+    f[1, 1] = entry(vec_eta, sol_eta, dd_eta, inv_deta)
+    f[0, 1] = f[1, 0] = entry(vec_phi, sol_eta, dd_phi, inv_deta)
+    sandwich = np.kron(sig.conj(), _OMEGA) - np.kron(_OMEGA, sig)
+    comm = np.vdot(sol_eta, sandwich @ sol_phi) + 4.0 * np.vdot(inv_deta, _OMEGA @ inv_dphi)
+    return f, 1j * comm.imag, any(p for _, p in solved)
+
+
+def _splitter_oracle(evolved, tau_out):
+    b2 = np.array([[math.sqrt(tau_out), -1j * math.sqrt(1.0 - tau_out)],
+                   [-1j * math.sqrt(1.0 - tau_out), math.sqrt(tau_out)]])
+    b4 = np.zeros((4, 4), dtype=complex)
+    b4[:2, :2], b4[2:, 2:] = b2, b2.conj()
+    sig, d, dsig_phi, dsig_eta, dd_phi, dd_eta = evolved
+    return (b4 @ sig @ b4.conj().T, b4 @ d, b4 @ dsig_phi @ b4.conj().T,
+            b4 @ dsig_eta @ b4.conj().T, b4 @ dd_phi, b4 @ dd_eta)
+
+
+def counting_moments_oracle(evolved, tau_out):
+    """(means, dphi, deta, cov) of the detector sum and difference, one point."""
+    sig, d, dsig_phi, dsig_eta, dd_phi, dd_eta = _splitter_oracle(evolved, tau_out)
+
+    def number_cov(i, j):
+        m_ij, s_ij = sig[i, j + 2] / 2.0, sig[i, j]
+        return ((2.0 * (np.conj(d[i]) * np.conj(d[j]) * m_ij).real
+                 + (np.conj(d[i]) * d[j] * s_ij).real
+                 + abs(m_ij) ** 2 + (abs(s_ij) ** 2 - float(i == j)) / 4.0))
+
+    def dn(dsig, dd):
+        return np.array([dsig[k, k].real / 2.0 + 2.0 * (np.conj(d[k]) * dd[k]).real
+                         for k in (0, 1)])
+
+    to_pm = np.array([[1.0, 1.0], [1.0, -1.0]])
+    means_n = np.array([(sig[k, k].real - 1.0) / 2.0 + abs(d[k]) ** 2 for k in (0, 1)])
+    cov_n = np.array([[number_cov(0, 0), number_cov(0, 1)],
+                      [number_cov(0, 1), number_cov(1, 1)]])
+    return (to_pm @ means_n, to_pm @ dn(dsig_phi, dd_phi), to_pm @ dn(dsig_eta, dd_eta),
+            to_pm @ cov_n @ to_pm.T)
+
+
+def homodyne_moments_oracle(evolved, tau_out, xi):
+    """(means, dphi, deta, cov) of the two quadratures at phase xi, one point."""
+    sig, d, _, _, dd_phi, dd_eta = _splitter_oracle(evolved, tau_out)
+    phase = np.exp(-1j * xi)
+
+    def mean_of(v):
+        return np.array([2.0 * (phase * v[k]).real for k in (0, 1)])
+
+    var = [sig[k, k].real + (phase ** 2 * sig[k, k + 2]).real for k in (0, 1)]
+    cov12 = (phase ** 2 * sig[0, 3]).real + sig[0, 1].real
+    return (mean_of(d), mean_of(dd_phi), mean_of(dd_eta),
+            np.array([[var[0], cov12], [cov12, var[1]]]))
+
+
+def error_propagation_oracle(moments, rank_tol=1e-12):
+    """(var_phi, var_eta) by a loop over the eigenpairs of the covariance."""
+    _, dphi, deta, cov = moments
+    vals, vecs = np.linalg.eigh(cov)
+    floor = rank_tol * max(vals.max(), 1.0)
+    out = []
+    for g in (dphi, deta):
+        info = 0.0
+        for lam, comp in zip(vals, vecs.T @ g):
+            if lam > floor:
+                info += comp ** 2 / lam
+            elif abs(comp) > math.sqrt(floor) * 1e3:
+                info = math.inf     # noiseless observable with signal
+                break
+        out.append(1.0 / info if info > 0.0 else math.inf)
+    return out[0], out[1]

@@ -124,7 +124,7 @@ def test_phase_bound_dominates_achieved_information():
 
 
 def test_probe_moments_wrapper():
-    from phaseloss.bounds import probe_moments
+    from phaseloss.gaussian import probe_moments
     from phaseloss.gaussian import GaussianProbeSpec, ProbeFamily, make_probe
 
     mean_n, var_n = probe_moments(FockProbe.fock(Scenario.SINGLE, 4, 6))

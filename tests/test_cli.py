@@ -7,10 +7,19 @@ import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 import phaseloss.cli
+import phaseloss.gaussian
+from conftest import (counting_moments_oracle, error_propagation_oracle,
+                      evolve_oracle, gaussian_qfi_oracle, homodyne_moments_oracle)
+from phaseloss.bounds import fundamental_limits
 from phaseloss.cli import _parse_angle, main
+from phaseloss.errors import InvalidInput
+from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily,
+                                make_probe, spec_from_split)
+from phaseloss.measurement import scheme_incompatibility
 
 
 def run_cli(argv):
@@ -230,3 +239,131 @@ def test_measure_fock_optimizes_each_point_once(monkeypatch):
     assert code == 0
     assert len(read_csv(out)) == 6
     assert calls == {(4, 0.3): 1, (4, 0.5): 1}
+
+
+# ---------------------------------------------------------------------------
+# Gaussian sweeps: one batched evaluation against a row-by-row oracle
+# ---------------------------------------------------------------------------
+
+GAUSSIAN_GRID = ["--n", "10,100,1000", "--eta", "0.1,0.3,0.5,0.7"]   # x 3 angles: 36 rows
+GAUSSIAN_SWEEPS = {
+    "gaussian-scan": ["gaussian-scan", "--chi", "0,pi/4,pi/2", "--q", "0.3"],
+    "homodyne": ["measure", "--scheme", "homodyne", "--xi", "0,pi/4,pi/2",
+                 "--tau-out", "0.5"],
+    "counting": ["measure", "--scheme", "counting", "--tau-out", "0.25,0.5,1"],
+}
+
+
+def oracle_bounds(f, i_phieta, lim):
+    """(C_S, C_H_bar) of one point with the weights diag(F_phi_max, F_eta_max)."""
+    w = np.diag([lim.f_phi_max_s12, lim.f_eta_max])
+    f_inv = np.linalg.inv(f)
+    c_s = float(np.trace(w @ f_inv))
+    vals, vecs = np.linalg.eigh(w)
+    w_half = (vecs * np.sqrt(vals)) @ vecs.T
+    i_mat = np.array([[0.0, i_phieta], [-i_phieta, 0.0]])
+    return c_s, c_s + float(np.linalg.norm(w_half @ f_inv @ i_mat @ f_inv @ w_half, 2))
+
+
+def oracle_row(sweep, row):
+    """The values of one table row, evaluated on its own by the conftest oracles."""
+    n, eta = int(row["n"]), float(row["eta"])
+    if sweep == "gaussian-scan":
+        chi, q = float(row["chi"]), 0.3
+        split = EnergySplit(float(n), p=0.5, q=q)
+        spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=0.0, theta=math.pi / 2,
+                               theta1=math.pi, theta2=math.pi, chi=chi,
+                               tau_in=1.0 if chi > 1e-12 else split.tau_in())
+        phi = 0.0
+    else:
+        xi = float(row["xi"])
+        split = EnergySplit(float(n), p=0.5, q=0.5)
+        angles = ((math.pi, math.pi / 2) if sweep == "counting"
+                  else (2.0 * xi, 2.0 * xi))
+        spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=0.0, theta=angles[1],
+                               theta1=angles[0], theta2=angles[0], chi=math.pi / 2,
+                               tau_in=1.0)
+        phi = math.pi / 2 if sweep == "counting" else 0.0
+    state = make_probe(spec)
+    ev = evolve_oracle(state.sigma, state.d, phi, eta, spec.tau_in)
+    f, i_pe, _ = gaussian_qfi_oracle(ev)
+    lim = fundamental_limits(float(n), eta)
+    c_s, c_h_bar = oracle_bounds(f, i_pe, lim)
+    if sweep == "gaussian-scan":
+        return {"f_phi_norm": f[0, 0] / lim.f_phi_max_s12,
+                "f_eta_norm": f[1, 1] / lim.f_eta_max, "f_phieta": f[0, 1],
+                "i_phieta_imag": i_pe.imag, "r_h_bar": c_s / c_h_bar}
+    tau_out = float(row["tau_out"])
+    moments = (counting_moments_oracle(ev, tau_out) if sweep == "counting"
+               else homodyne_moments_oracle(ev, tau_out, xi))
+    var_phi, var_eta = error_propagation_oracle(moments)
+    return {"var_phi_fmax": var_phi * lim.f_phi_max_s12,
+            "var_eta_fmax": var_eta * lim.f_eta_max,
+            "r_scheme": scheme_incompatibility(var_phi, var_eta, c_s, lim),
+            "r_h_bar": c_s / c_h_bar}
+
+
+@pytest.mark.parametrize("sweep", sorted(GAUSSIAN_SWEEPS))
+def test_gaussian_sweeps_match_row_oracle_and_ignore_threads(sweep):
+    argv = GAUSSIAN_SWEEPS[sweep] + GAUSSIAN_GRID
+    code1, serial, _ = run_cli(argv + ["--threads", "1"])
+    code4, parallel, _ = run_cli(argv + ["--threads", "4"])
+    assert code1 == code4 == 0
+    assert serial == parallel
+    rows = read_csv(serial)
+    assert len(rows) == 36
+    for i, row in enumerate(rows):
+        want = oracle_row(sweep, row)
+        # f_phieta vanishes here in exact arithmetic: compare it on the row's F scale
+        f_scale = max(abs(want.get("f_phi_norm", 0.0)), abs(want.get("f_eta_norm", 0.0)))
+        for col, value in want.items():
+            got = float(row[col])
+            if col == "f_phieta":
+                lim = fundamental_limits(float(row["n"]), float(row["eta"]))
+                scale = f_scale * max(lim.f_phi_max_s12, lim.f_eta_max)
+                assert abs(got - value) <= 1e-10 * scale, (i, col, got, value)
+            elif abs(value) > 1e15 or abs(got) > 1e15:
+                assert min(abs(value), abs(got)) > 1e15, (i, col, got, value)  # no information
+            else:
+                assert got == pytest.approx(value, rel=1e-10, abs=1e-300), (i, col, got, value)
+
+
+@pytest.mark.parametrize("command", ["gaussian-scan", "counting"])
+@pytest.mark.parametrize("failures", [
+    {7: "unphysical", 4: "singular"}, {4: "unphysical", 7: "singular"},
+    {38: "unphysical", 35: "singular"}, {35: "unphysical", 38: "singular"},
+    {9: "raise", 20: "singular"}, {20: "raise", 9: "singular"}])
+def test_gaussian_sweep_reports_first_failing_row(monkeypatch, command, failures):
+    """Rows fail at their own stage (spec, probe, information matrix); the
+    exit code and message are those of the first failing row, after the
+    progress lines of the rows before it, also across a chunk boundary."""
+    real_spec = phaseloss.gaussian.spec_from_split
+    calls = []
+
+    def faulty_spec(*args, **kwargs):
+        row = len(calls)
+        calls.append(row)
+        kind = failures.get(row)
+        if kind == "raise":
+            raise InvalidInput("split rejected")
+        if kind == "unphysical":
+            return GaussianProbeSpec(ProbeFamily.TWO_MODE, r=0.8, chi=math.pi / 4)
+        if kind == "singular":
+            return GaussianProbeSpec(ProbeFamily.TWO_MODE)      # vacuum: F = 0
+        return real_spec(*args, **kwargs)
+
+    monkeypatch.setattr(phaseloss.gaussian, "spec_from_split", faulty_spec)
+    argv = (["gaussian-scan", "--chi", "0,pi/4,pi/2"] if command == "gaussian-scan"
+            else ["measure", "--scheme", "counting", "--tau-out", "0.25,0.5,1"])
+    code, out, err = run_cli(argv + ["--n", "10,100,1000,10000",
+                                     "--eta", "0.2,0.4,0.6,0.8"])       # 48 rows
+    first = min(failures)
+    expected = {"unphysical": (2, "config error: covariance matrix is unphysical"),
+                "raise": (2, "config error: split rejected"),
+                "singular": (3, "numerical failure: information matrix is "
+                                "numerically singular")}[failures[first]]
+    lines = err.strip().splitlines()
+    assert code == expected[0]
+    assert out == ""
+    assert lines[-1].startswith(expected[1])
+    assert len(lines) == first + 1       # one progress line per row before it

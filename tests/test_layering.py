@@ -1,0 +1,53 @@
+"""Import structure of the package, read from the source with ``ast``.
+
+Every import sits at module level, so that the import graph is the one a
+reader sees at the top of each file and no cycle hides inside a function;
+the closed-form bounds depend on no other module of the package but the
+exception types.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phaseloss"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def package_imports(tree):
+    """Names of the phaseloss modules a module imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                found.update([node.module] if node.module else
+                             [alias.name for alias in node.names])
+            elif node.module and node.module.split(".")[0] == "phaseloss":
+                found.add(node.module.split(".", 1)[1] if "." in node.module else "phaseloss")
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".", 1)[1] for alias in node.names
+                         if alias.name.startswith("phaseloss."))
+    return found
+
+
+def test_modules_found():
+    assert {"bounds.py", "gaussian.py", "cli.py"} <= {m.name for m in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lazy = [f"{path.name}:{inner.lineno} in {func.name}()"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(func)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not lazy, "imports inside function bodies: " + ", ".join(lazy)
+
+
+def test_bounds_imports_no_package_module_but_errors():
+    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+    assert package_imports(tree) <= {"errors"}
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert not package_imports(errors)

@@ -184,34 +184,38 @@ def block_vectors(probe: FockProbe, kraus: KrausFamily) -> np.ndarray:
 
 
 def _shift_rows(table: np.ndarray) -> np.ndarray:
-    """Row m moved left by m places, zero past N: out[m, j] = table[m, j + m].
+    """Row m moved left by m places, zero past N: out[m, j, ...] = table[m, j + m, ...].
 
     Applied to rows of T * c it gives the single-mode post-loss vectors at
-    their output photon numbers j = n - m.
+    their output photon numbers j = n - m; trailing spectator axes ride along.
     """
-    n_pts = table.shape[-1]
+    n_pts = table.shape[0]
     m, j = np.indices((n_pts, n_pts))
     n = m + j
-    return np.where(n < n_pts, table[m, np.minimum(n, n_pts - 1)], 0.0)
+    inside = (n < n_pts).reshape(n.shape + (1,) * (table.ndim - 2))
+    return np.where(inside, table[m, np.minimum(n, n_pts - 1)], 0.0)
 
 
-def _single_mode_derivatives(vecs: np.ndarray, w_conj: np.ndarray, kraus: KrausFamily):
-    """Single-mode (drho_phi, drho_eta) from T * c and conj(W): each is
-    shift(G T c)^T conj(W) plus its adjoint."""
-    out = []
-    for gens in kraus.generators():
-        b = _shift_rows(gens * vecs).T @ w_conj
-        out.append(b + b.conj().T)
-    return out
+def _single_mode_output(vecs: np.ndarray, kraus: KrausFamily):
+    """The single-mode loss action on a table product, with its derivatives.
 
-
-def _single_mode_output(probe: FockProbe, kraus: KrausFamily):
-    """Dense single-mode output and its (phi, eta) derivatives, as a matrix and
-    a (2, N+1, N+1) stack, from one table product and one row shift."""
-    vecs = block_vectors(probe, kraus)
-    w = _shift_rows(vecs)
+    ``vecs`` is T[m, n] * a[n, ...]: the lossy mode on axis 1 and any
+    trailing spectator axes (none for a plain probe).  With W the shifted
+    table flattened to (N+1, D), D = (N+1) times the spectator size, the
+    output is rho = W^T conj(W) and each derivative is shift(G T a)^T conj(W)
+    plus its adjoint, G the generator table.  Returns rho (D, D) and the
+    (2, D, D) stack (drho_phi, drho_eta), row-major over (mode, spectator).
+    """
+    n_pts = vecs.shape[0]
+    spectator = (1,) * (vecs.ndim - 2)
+    w = _shift_rows(vecs).reshape(n_pts, -1)
     w_conj = w.conj()
-    return w.T @ w_conj, np.stack(_single_mode_derivatives(vecs, w_conj, kraus))
+    drho = np.empty((2, w.shape[1], w.shape[1]), dtype=complex)
+    for out, gens in zip(drho, kraus.generators()):
+        gw = _shift_rows(gens.reshape(gens.shape + spectator) * vecs).reshape(n_pts, -1)
+        b = gw.T @ w_conj
+        np.add(b, b.conj().T, out=out)
+    return w.T @ w_conj, drho
 
 
 def apply_channel(probe: FockProbe, kraus: KrausFamily) -> BlockDensity:
@@ -234,14 +238,13 @@ def apply_channel_derivatives(probe: FockProbe, kraus: KrausFamily):
 
     Each block is (G K_m c)(K_m c)' + h.c. with the generator tables of the
     family, so per-block results stay rank <= 2.  The single-mode sum over m
-    is the product of the shifted tables of G T c and T c, plus h.c.
+    is the loss action of _single_mode_output.
     """
     vecs = block_vectors(probe, kraus)
     n_max = kraus.n_max
     if kraus.scenario is Scenario.SINGLE:
-        w_conj = _shift_rows(vecs).conj()
-        return tuple(BlockDensity(Scenario.SINGLE, n_max, [d])
-                     for d in _single_mode_derivatives(vecs, w_conj, kraus))
+        _, drho = _single_mode_output(vecs, kraus)
+        return tuple(BlockDensity(Scenario.SINGLE, n_max, [d]) for d in drho)
     out = []
     for gens in kraus.generators():
         blocks = []

@@ -24,8 +24,8 @@ from enum import Enum
 import numpy as np
 
 from . import bounds as _bounds
-from .channel import (ChannelParams, FockProbe, Scenario, beamsplitter_sector,
-                      build_kraus, probe_statistics)
+from .channel import (ChannelParams, FockProbe, Scenario, _single_mode_output,
+                      beamsplitter_sector, build_kraus, probe_statistics)
 from .errors import InvalidInput, InvalidState
 from .qfi import QfiReport, _point, complete_report
 
@@ -465,15 +465,9 @@ def gaussian_qfi(state: GaussianState, params, tau_in,
 def photon_moments(state: GaussianState):
     """Mean photon number per mode and the sensing-mode number variance."""
     sig, d = state.sigma, state.d
-    n_c = (sig[..., 0, 0].real - 1.0) / 2.0
-    n1 = n_c + np.abs(d[..., 0]) ** 2
+    n1 = (sig[..., 0, 0].real - 1.0) / 2.0 + np.abs(d[..., 0]) ** 2
     n2 = (sig[..., 1, 1].real - 1.0) / 2.0 + np.abs(d[..., 1]) ** 2
-    m_c = sig[..., 0, 2] / 2.0
-    d1 = d[..., 0]
-    var1 = (np.abs(d1) ** 2 * (2.0 * n_c + 1.0)
-            + 2.0 * (np.conj(d1) ** 2 * m_c).real
-            + n_c * (n_c + 1.0) + np.abs(m_c) ** 2)
-    return _point(n1), _point(n2), _point(var1)
+    return _point(n1), _point(n2), number_covariance(state, 0, 0)
 
 
 def number_covariance(state: GaussianState, i: int, j: int) -> float:
@@ -710,27 +704,12 @@ def grid_channel_output(grid: np.ndarray, params: ChannelParams):
     """Dense output state and derivatives of phase+loss acting on grid mode 1.
 
     Returns (rho, drho_phi, drho_eta) as (D x D) matrices with the row-major
-    flattening of the (mode1, mode2) grid.
+    flattening of the (mode1, mode2) grid: the channel's single-mode loss
+    action with mode 2 as the spectator axis.
     """
     c1 = grid.shape[0] - 1
-    dim = grid.size
     if c1 < 1:
         raise InvalidInput("grid must allow at least one photon in mode 1")
     kraus = build_kraus(ChannelParams(params.phi, params.eta, c1), Scenario.SINGLE)
-    rho = np.zeros((dim, dim), dtype=complex)
-    drho_phi = np.zeros_like(rho)
-    drho_eta = np.zeros_like(rho)
-    g_phi, g_eta = kraus.generators()
-    for m in range(c1 + 1):
-        v = (kraus.table[m, m:][:, None] * grid[m:, :])
-        flat = np.zeros_like(grid)
-        flat[:v.shape[0], :] = v
-        vv = flat.reshape(-1)
-        rho += np.outer(vv, vv.conj())
-        for g_diag, target in ((g_phi[m, m:], drho_phi), (g_eta[m, m:], drho_eta)):
-            gflat = np.zeros_like(grid)
-            gflat[:v.shape[0], :] = g_diag[:, None] * v
-            gv = gflat.reshape(-1)
-            block = np.outer(gv, vv.conj())
-            target += block + block.conj().T
+    rho, (drho_phi, drho_eta) = _single_mode_output(kraus.table[:, :, None] * grid, kraus)
     return rho, drho_phi, drho_eta

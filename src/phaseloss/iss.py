@@ -23,9 +23,10 @@ from . import qfi as _qfi
 # probe_statistics is re-exported: callers import it from this module too
 from .channel import (ChannelParams, FockProbe, KrausFamily, Scenario,
                       _single_mode_output, apply_channel,
-                      apply_channel_derivatives, build_kraus, probe_statistics)
+                      apply_channel_derivatives, block_vectors, build_kraus,
+                      probe_statistics)
 from .errors import InvalidInput
-from .linalg import DEFAULT_RANK_TOL, hermitianize, solve_sld
+from .linalg import hermitianize, solve_sld
 
 _EIG_DEGENERACY_TOL = 1e-12
 
@@ -41,7 +42,6 @@ class IssConfig:
     conv_rel_tol: float = 1e-3
     restarts: int = 1
     seed: int = 0
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.conv_window < 2 or self.conv_rel_tol <= 0:
@@ -60,8 +60,12 @@ class IssResult:
     restart_objectives: list = field(default_factory=list)
 
 
-def channel_slds(probe: FockProbe, kraus: KrausFamily,
-                 rank_tol: float = DEFAULT_RANK_TOL):
+def _pure_block_slds(rho_b: np.ndarray, drho_b: np.ndarray, q: float) -> np.ndarray:
+    """SLD of an unnormalized pure block: (2/q) drho - (tr drho / q^2) rho."""
+    return (2.0 / q) * drho_b - (np.trace(drho_b).real / q ** 2) * rho_b
+
+
+def channel_slds(probe: FockProbe, kraus: KrausFamily):
     """SLD pair (L_phi, L_eta) of the channel output at the given probe.
 
     Returned dense for the single-mode layout, both from one eigendecomposition
@@ -69,8 +73,8 @@ def channel_slds(probe: FockProbe, kraus: KrausFamily,
     form per block).
     """
     if kraus.scenario is Scenario.SINGLE:
-        rho, drho = _single_mode_output(probe, kraus)
-        l_phi, l_eta = solve_sld(rho, drho, rank_tol)
+        rho, drho = _single_mode_output(block_vectors(probe, kraus), kraus)
+        l_phi, l_eta = solve_sld(rho, drho)
         return l_phi, l_eta
     rho = apply_channel(probe, kraus)
     dphi, deta = apply_channel_derivatives(probe, kraus)
@@ -81,8 +85,8 @@ def channel_slds(probe: FockProbe, kraus: KrausFamily,
             l_phi.append(np.zeros_like(rho_b))
             l_eta.append(np.zeros_like(rho_b))
             continue
-        l_phi.append(_qfi._pure_block_slds(rho_b, dp_b, q))
-        l_eta.append(_qfi._pure_block_slds(rho_b, de_b, q))
+        l_phi.append(_pure_block_slds(rho_b, dp_b, q))
+        l_eta.append(_pure_block_slds(rho_b, de_b, q))
     return l_phi, l_eta
 
 
@@ -225,7 +229,7 @@ def optimize(config: IssConfig, params: ChannelParams, scenario: Scenario) -> Is
                 m_mat = _fast_m_two_mode(coeffs, kraus, weights)
             else:
                 probe = FockProbe(scenario, coeffs)
-                slds = channel_slds(probe, kraus, config.rank_tol)
+                slds = channel_slds(probe, kraus)
                 m_mat = build_m_matrix(probe, slds, kraus, weights)
             mu, coeffs = _top_eigvec(m_mat, coeffs)
             trace.append(mu)

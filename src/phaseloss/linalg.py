@@ -44,11 +44,10 @@ def hermitian_eig(h: np.ndarray) -> EigenSystem:
     return EigenSystem(vals[order].copy(), vecs[:, order].copy())
 
 
-def sld_eigenbasis(rho_eig: EigenSystem, drho: np.ndarray,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def sld_eigenbasis(rho_eig: EigenSystem, drho: np.ndarray) -> np.ndarray:
     """SLD of one derivative in the eigenbasis of ρ, from ρ's eigensystem.
 
-    L_ij = 2 dρ_ij / (p_i + p_j) whenever p_i + p_j exceeds ``rank_tol``
+    L_ij = 2 dρ_ij / (p_i + p_j) whenever p_i + p_j exceeds DEFAULT_RANK_TOL
     relative to the largest eigenvalue p_0; elements on the kernel-kernel
     block are set to zero (L is not unique there and the choice does not
     affect any information quantity).  In this basis Tr(ρ A B) is
@@ -58,13 +57,12 @@ def sld_eigenbasis(rho_eig: EigenSystem, drho: np.ndarray,
     u = rho_eig.eigenvectors
     d_eig = u.conj().T @ drho @ u
     denom = p[:, None] + p[None, :]
-    keep = denom > rank_tol * max(p[0], np.finfo(float).tiny)
+    keep = denom > DEFAULT_RANK_TOL * max(p[0], np.finfo(float).tiny)
     d_eig *= np.where(keep, 2.0, 0.0) / np.where(keep, denom, 1.0)
     return d_eig
 
 
-def solve_sld(rho: np.ndarray, drho: np.ndarray,
-              rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Solve dρ = (ρL + Lρ)/2 for the Hermitian operator L.
 
     ``drho`` is one (n, n) derivative or a (k, n, n) stack of them; a stack
@@ -80,7 +78,7 @@ def solve_sld(rho: np.ndarray, drho: np.ndarray,
     u = es.eigenvectors
 
     def solve(d):
-        return hermitianize(u @ sld_eigenbasis(es, d, rank_tol) @ u.conj().T)
+        return hermitianize(u @ sld_eigenbasis(es, d) @ u.conj().T)
 
     if drho.ndim == 2:
         return solve(drho)

@@ -96,13 +96,20 @@ def output_transform(scheme: DetectionScheme, state):
     if isinstance(state, BlockDensity):
         if state.scenario is Scenario.SINGLE:
             return state
-        blocks = []
-        for m, block in enumerate(state.blocks):
-            total = state.n_max - m
-            u_sec = beamsplitter_sector(total, scheme.tau_out)
-            blocks.append(u_sec @ block @ u_sec.conj().T)
-        return BlockDensity(Scenario.TWO, state.n_max, blocks)
+        return _rotate_sectors(scheme.tau_out, state)[0]
     raise InvalidInput(f"cannot transform {type(state).__name__}")
+
+
+def _rotate_sectors(tau: float, *densities: BlockDensity) -> list:
+    """Two-mode block densities behind the detection splitter, each sector
+    unitary (block m, N - m photons) built once and applied to all of them."""
+    n_max = densities[0].n_max
+    rotated = [[] for _ in densities]
+    for m in range(n_max + 1):
+        u = beamsplitter_sector(n_max - m, tau)
+        for blocks, d in zip(rotated, densities):
+            blocks.append(u @ d.blocks[m] @ u.conj().T)
+    return [BlockDensity(Scenario.TWO, n_max, blocks) for blocks in rotated]
 
 
 _TO_PM = np.array([[1.0, 1.0], [1.0, -1.0]])     # (n1, n2) -> (sum, difference)
@@ -179,17 +186,17 @@ def counting_moments(state, scheme: DetectionScheme,
 
     ``state`` is either an EvolvedGaussian or a BlockDensity; the latter
     needs the matching derivative densities, all of which are rotated by the
-    detection splitter internally.
+    detection splitter internally, with one set of sector unitaries.
     """
     if isinstance(state, EvolvedGaussian):
         return _gaussian_number_moments(output_transform(scheme, state))
     if isinstance(state, BlockDensity):
         if drho_phi is None or drho_eta is None:
             raise InvalidInput("number-basis counting needs the derivative densities")
-        rho_t = output_transform(scheme, state)
-        dphi_t = output_transform(scheme, drho_phi)
-        deta_t = output_transform(scheme, drho_eta)
-        return _fock_number_moments(rho_t, dphi_t, deta_t)
+        densities = (state, drho_phi, drho_eta)
+        if state.scenario is Scenario.TWO:
+            densities = _rotate_sectors(scheme.tau_out, *densities)
+        return _fock_number_moments(*densities)
     raise InvalidInput(f"cannot compute counting moments for {type(state).__name__}")
 
 

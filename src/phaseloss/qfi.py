@@ -16,10 +16,9 @@ import numpy as np
 
 from . import bounds as _bounds
 from .channel import (BlockDensity, ChannelParams, FockProbe, KrausFamily,
-                      Scenario, apply_channel, apply_channel_derivatives,
-                      block_vectors, build_kraus)
+                      Scenario, _single_mode_output, block_vectors, build_kraus)
 from .errors import InvalidInput, InvalidState, SingularInformation
-from .linalg import DEFAULT_RANK_TOL, hermitian_eig, sld_eigenbasis
+from .linalg import hermitian_eig, sld_eigenbasis
 
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-8
@@ -53,11 +52,6 @@ class QfiReport:
     cond: float = None
 
 
-def _pure_block_slds(rho_b: np.ndarray, drho_b: np.ndarray, q: float) -> np.ndarray:
-    """SLD of an unnormalized pure block: (2/q) drho - (tr drho / q^2) rho."""
-    return (2.0 / q) * drho_b - (np.trace(drho_b).real / q ** 2) * rho_b
-
-
 def _check_layout(rho: BlockDensity, *derivatives: BlockDensity):
     for d in derivatives:
         if d.scenario is not rho.scenario or len(d.blocks) != len(rho.blocks):
@@ -69,50 +63,34 @@ def _check_layout(rho: BlockDensity, *derivatives: BlockDensity):
 
 
 def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity,
-               rank_tol: float = DEFAULT_RANK_TOL, method: str = "auto") -> QfiReport:
+               method: str = "eigen") -> QfiReport:
     """QFI matrix and SLD-commutator expectation of a blockwise state.
 
-    method "eigen" solves the SLD equation in the eigenbasis of every block,
-    one eigendecomposition per block, and sums Tr(rho A B) there as
-    sum_ab p_a A_ab B_ba; "analytic" uses the closed form valid for pure
-    (rank-1) blocks, which is the default for the two-mode layout.  Both
-    agree to solver precision.
+    Solves the SLD equation in the eigenbasis of every block, one
+    eigendecomposition per block, and sums Tr(rho A B) there as
+    sum_ab p_a A_ab B_ba.  "eigen" is the only ``method``; two-mode probes
+    have the block-vector route of pure_block_report.
     """
-    if method == "auto":
-        method = "analytic" if rho.scenario is Scenario.TWO else "eigen"
-    if method == "analytic" and rho.scenario is Scenario.SINGLE:
-        raise InvalidInput("analytic SLDs require pure blocks; single-mode output is mixed")
+    if method != "eigen":
+        raise InvalidInput(f"unknown QFI method {method!r}; block densities are "
+                           "solved in their eigenbasis (\"eigen\")")
     _check_layout(rho, drho_phi, drho_eta)
     if abs(rho.trace() - 1.0) > _TRACE_TOL:
         raise InvalidState(f"density trace {rho.trace()} is not 1")
 
     t = np.zeros((2, 2), dtype=complex)         # Tr(rho L_i L_j), lower triangle
     for rho_b, dphi_b, deta_b in zip(rho.blocks, drho_phi.blocks, drho_eta.blocks):
-        q = np.trace(rho_b).real
-        if q < _BLOCK_FLOOR:
+        if np.trace(rho_b).real < _BLOCK_FLOOR:
             continue
-        if method == "analytic":
-            purity = np.sum(np.abs(rho_b) ** 2)
-            if abs(purity - q ** 2) > 1e-8 * max(q ** 2, 1e-30):
-                raise InvalidState("analytic SLD path requires rank-1 blocks")
-            l_phi = _pure_block_slds(rho_b, dphi_b, q)
-            l_eta = _pure_block_slds(rho_b, deta_b, q)
-
-            def rho_trace(a, b):
-                return np.trace(rho_b @ a @ b)
-        else:
-            es = hermitian_eig(rho_b)
-            p = es.eigenvalues
-            if p[-1] < -_PSD_TOL:
-                raise InvalidState(f"block has negative eigenvalue {p[-1]}")
-            l_phi = sld_eigenbasis(es, dphi_b, rank_tol)
-            l_eta = sld_eigenbasis(es, deta_b, rank_tol)
-
-            def rho_trace(a, b):
-                return np.einsum("a,ab,ba->", p, a, b)
-        t[0, 0] += rho_trace(l_phi, l_phi)
-        t[1, 1] += rho_trace(l_eta, l_eta)
-        t[1, 0] += rho_trace(l_eta, l_phi)
+        es = hermitian_eig(rho_b)
+        p = es.eigenvalues
+        if p[-1] < -_PSD_TOL:
+            raise InvalidState(f"block has negative eigenvalue {p[-1]}")
+        l_phi = sld_eigenbasis(es, dphi_b)
+        l_eta = sld_eigenbasis(es, deta_b)
+        t[0, 0] += np.einsum("a,ab,ba->", p, l_phi, l_phi)
+        t[1, 1] += np.einsum("a,ab,ba->", p, l_eta, l_eta)
+        t[1, 0] += np.einsum("a,ab,ba->", p, l_eta, l_phi)
     f = np.array([[t[0, 0].real, t[1, 0].real], [t[1, 0].real, t[1, 1].real]])
     return QfiReport(f=f, i_phieta=1j * t[1, 0].imag)
 
@@ -152,10 +130,11 @@ def _point(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
-    """Weighted scalar bound Tr(W F^-1), pointwise over stacks (..., 2, 2).
+def _scalar_bounds(f: np.ndarray, w: np.ndarray, i_phieta=None):
+    """(C_S, C_H_bar) from one singularity check and one inverse of F.
 
-    Raises SingularInformation for the first numerically singular point,
+    C_H_bar is None without ``i_phieta``.  Pointwise over stacks (..., 2, 2);
+    raises SingularInformation for the first numerically singular point,
     with its near-null direction and, for a stack, its flat index.
     """
     f = np.asarray(f, dtype=float)
@@ -171,7 +150,26 @@ def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
             direction=evecs.reshape(-1, 2, 2)[k][:, int(np.argmin(np.abs(vals)))],
             index=k if singular.ndim else None)
     f_inv = np.linalg.inv(f)
-    return _point(np.einsum("...ij,...ji->...", np.asarray(w, dtype=float), f_inv))
+    w = np.asarray(w, dtype=float)
+    c_s = _point(np.einsum("...ij,...ji->...", w, f_inv))
+    if i_phieta is None:
+        return c_s, None
+    i_pe = np.asarray(i_phieta, dtype=complex)
+    i_mat = np.zeros(i_pe.shape + (2, 2), dtype=complex)
+    i_mat[..., 0, 1] = i_pe
+    i_mat[..., 1, 0] = -i_pe
+    w_half = _sqrtm_psd(w)
+    sandwich = w_half @ f_inv @ i_mat @ f_inv @ w_half
+    return c_s, c_s + _point(np.linalg.svd(sandwich, compute_uv=False)[..., 0])
+
+
+def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
+    """Weighted scalar bound Tr(W F^-1), pointwise over stacks (..., 2, 2).
+
+    Raises SingularInformation for the first numerically singular point,
+    with its near-null direction and, for a stack, its flat index.
+    """
+    return _scalar_bounds(f, w)[0]
 
 
 def _sqrtm_psd(w: np.ndarray) -> np.ndarray:
@@ -189,15 +187,7 @@ def hcrb_upper(f: np.ndarray, i_phieta: complex, w: np.ndarray) -> float:
     expectation; it vanishes exactly when i_phieta does, and never exceeds
     C_S, so C_S <= result <= 2 C_S.  Pointwise over stacks (..., 2, 2).
     """
-    c_s = scalar_crb(f, w)
-    i_pe = np.asarray(i_phieta, dtype=complex)
-    i_mat = np.zeros(i_pe.shape + (2, 2), dtype=complex)
-    i_mat[..., 0, 1] = i_pe
-    i_mat[..., 1, 0] = -i_pe
-    f_inv = np.linalg.inv(np.asarray(f, dtype=float))
-    w_half = _sqrtm_psd(w)
-    sandwich = w_half @ f_inv @ i_mat @ f_inv @ w_half
-    return c_s + _point(np.linalg.svd(sandwich, compute_uv=False)[..., 0])
+    return _scalar_bounds(f, w, i_phieta)[1]
 
 
 def probe_quantifier(f: np.ndarray, fmax_phi: float, fmax_eta: float) -> float:
@@ -223,28 +213,26 @@ def complete_report(report: QfiReport, w: np.ndarray) -> QfiReport:
     A stacked report takes one weight matrix or a stack of them.
     """
     report.w = np.asarray(w, dtype=float)
-    report.c_s = scalar_crb(report.f, report.w)
-    report.c_h_bar = hcrb_upper(report.f, report.i_phieta, report.w)
+    report.c_s, report.c_h_bar = _scalar_bounds(report.f, report.w, report.i_phieta)
     return report
 
 
 def channel_report(probe: FockProbe, params: ChannelParams,
-                   rank_tol: float = DEFAULT_RANK_TOL,
                    w: np.ndarray = None) -> QfiReport:
     """End-to-end report for a number-state probe through the channel.
 
     Two-mode probes take the block-vector route of pure_block_report; the
-    mixed single-mode output is solved in its eigenbasis with ``rank_tol``.
-    The default weight matrix is diag of the single-parameter channel optima
-    at the probe's photon budget.
+    mixed single-mode output, from the channel's one loss action, is solved
+    in its eigenbasis.  The default weight matrix is diag of the
+    single-parameter channel optima at the probe's photon budget.
     """
     kraus = build_kraus(params, probe.scenario)
     if probe.scenario is Scenario.TWO:
         report = pure_block_report(probe, kraus)
     else:
-        rho = apply_channel(probe, kraus)
-        dphi, deta = apply_channel_derivatives(probe, kraus)
-        report = qfi_matrix(rho, dphi, deta, rank_tol=rank_tol)
+        rho, drho = _single_mode_output(block_vectors(probe, kraus), kraus)
+        report = qfi_matrix(*(BlockDensity(Scenario.SINGLE, params.n_max, [mat])
+                              for mat in (rho, *drho)))
     if w is None:
         w = np.array(_bounds.fundamental_limits(probe.n_max, params.eta).weights())
     try:

@@ -156,6 +156,35 @@ def dense_qfi(rho, drho_phi, drho_eta, rank_tol=1e-12):
     return f, 1j * t.imag
 
 
+def grid_channel_output_oracle(grid, params):
+    """Phase+loss on grid mode 1 by the loop over lost-photon counts m.
+
+    Block m adds the outer product of the flattened post-loss grid
+    T[m, n] grid[n, :] placed at rows n - m, and each derivative adds
+    (G_m v)(v)' + h.c. with the generator rows taken from the tables.
+    """
+    c1 = grid.shape[0] - 1
+    dim = grid.size
+    kraus = build_kraus(ChannelParams(params.phi, params.eta, c1), Scenario.SINGLE)
+    rho = np.zeros((dim, dim), dtype=complex)
+    drho_phi = np.zeros_like(rho)
+    drho_eta = np.zeros_like(rho)
+    g_phi, g_eta = kraus.generators()
+    for m in range(c1 + 1):
+        v = (kraus.table[m, m:][:, None] * grid[m:, :])
+        flat = np.zeros_like(grid)
+        flat[:v.shape[0], :] = v
+        vv = flat.reshape(-1)
+        rho += np.outer(vv, vv.conj())
+        for g_diag, target in ((g_phi[m, m:], drho_phi), (g_eta[m, m:], drho_eta)):
+            gflat = np.zeros_like(grid)
+            gflat[:v.shape[0], :] = g_diag[:, None] * v
+            gv = gflat.reshape(-1)
+            block = np.outer(gv, vv.conj())
+            target += block + block.conj().T
+    return rho, drho_phi, drho_eta
+
+
 def fock_oracle_qfi(spec, params):
     """Number-basis route to the information matrix of a Gaussian probe.
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (fock_oracle_qfi, grid_moments, random_two_mode_spec,
-                      single_mode_phase_qfi)
+from conftest import (fock_oracle_qfi, grid_channel_output_oracle, grid_moments,
+                      random_two_mode_spec, single_mode_phase_qfi)
 from phaseloss.bounds import fundamental_limits
-from phaseloss.channel import ChannelParams
+from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
+                               apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec,
                                 ProbeFamily, Regime,
@@ -14,7 +15,8 @@ from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec,
                                 correlation_two_mode_chi0,
                                 correlation_two_mode_cross, evolve,
                                 evolve_with_derivatives, fock_truncation,
-                                gaussian_qfi, make_probe, mix_modes,
+                                gaussian_qfi, grid_channel_output, make_probe,
+                                mix_modes,
                                 photon_moments, spec_from_split)
 
 
@@ -147,6 +149,35 @@ def test_single_mode_phase_closed_form_matches_fock_oracle():
                 f_ref, _ = fock_oracle_qfi(spec, ChannelParams(0.0, eta, 1))
                 assert single_mode_phase_qfi(eta, alpha ** 2, r) == pytest.approx(
                     f_ref[0, 0], rel=1e-7)
+
+
+@pytest.mark.parametrize("spec", [
+    GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=1.0, r=0.5),          # c2 = 0
+    GaussianProbeSpec(ProbeFamily.TWO_MODE, alpha=1.0, r=0.4, theta=0.0,
+                      theta1=math.pi, theta2=math.pi, chi=math.pi / 4),
+    GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=0.8, mu=0.3, r=0.4, theta=0.6,
+                      tau_in=0.7),                                          # mixed in
+], ids=["single-mode", "two-mode-chi-pi/4", "tau-in-0.7"])
+def test_grid_channel_output_matches_per_m_oracle(spec):
+    grid = mix_modes(fock_truncation(spec), spec.tau_in)
+    params = ChannelParams(0.7, 0.35, 1)
+    for got, ref in zip(grid_channel_output(grid, params),
+                        grid_channel_output_oracle(grid, params)):
+        assert got.shape == (grid.size, grid.size)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_one_column_spectator_is_the_single_mode_channel():
+    n = 9
+    probe = FockProbe.random(Scenario.SINGLE, n, np.random.default_rng(11))
+    params = ChannelParams(0.7, 0.35, n)
+    kraus = build_kraus(params, Scenario.SINGLE)
+    plain = (apply_channel(probe, kraus),) + apply_channel_derivatives(probe, kraus)
+    grid = probe.coeffs[:, None]
+    for got, ref, want in zip(grid_channel_output(grid, params),
+                              grid_channel_output_oracle(grid, params), plain):
+        np.testing.assert_array_equal(got, want.blocks[0])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_lossless_pure_state_regularization():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import phaseloss.measurement
 from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus)
@@ -73,6 +74,23 @@ def test_fock_counting_variance():
     _, var_eta = error_propagation(moments)
     assert var_eta == pytest.approx(eta * (1 - eta) / n, rel=1e-10)
     assert var_eta == pytest.approx(1 / fundamental_limits(n, eta).f_eta_max, rel=1e-10)
+
+
+def test_sector_unitaries_per_counting_call(monkeypatch):
+    # one detection-splitter unitary per block, shared by rho and both derivatives
+    totals = []
+    sector = phaseloss.measurement.beamsplitter_sector
+
+    def counting_sector(total, *args, **kwargs):
+        totals.append(total)
+        return sector(total, *args, **kwargs)
+
+    monkeypatch.setattr(phaseloss.measurement, "beamsplitter_sector", counting_sector)
+    n = 7
+    probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(12))
+    rho, dphi, deta = fock_output(probe, ChannelParams(0.4, 0.6, n))
+    counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=0.4), dphi, deta)
+    assert totals == [n - m for m in range(n + 1)]
 
 
 def test_two_mode_squeezed_counting_loss_variance():

@@ -62,8 +62,9 @@ def test_analytic_and_eigen_paths_agree():
     for _ in range(20):
         n = int(rng.integers(2, 9))
         probe = FockProbe.random(Scenario.TWO, n, rng)
-        rho, dphi, deta = output_triple(probe, ChannelParams(0.3, float(rng.uniform(0.1, 0.9)), n))
-        rep_a = qfi_matrix(rho, dphi, deta, method="analytic")
+        params = ChannelParams(0.3, float(rng.uniform(0.1, 0.9)), n)
+        rho, dphi, deta = output_triple(probe, params)
+        rep_a = pure_block_report(probe, build_kraus(params, Scenario.TWO))
         rep_e = qfi_matrix(rho, dphi, deta, method="eigen")
         np.testing.assert_allclose(rep_a.f, rep_e.f, atol=1e-8 * max(1.0, np.abs(rep_e.f).max()))
         assert abs(rep_a.i_phieta - rep_e.i_phieta) < 1e-8 * max(1.0, abs(rep_e.i_phieta))
@@ -103,13 +104,12 @@ def test_qfi_matrix_rejects_mismatched_layouts():
     rho, dphi, deta = state
     reshaped = BlockDensity(Scenario.TWO, 5, [b[:-1, :-1] for b in deta.blocks[:-1]]
                             + [deta.blocks[-1]])
-    for method in ("analytic", "eigen"):
-        with pytest.raises(InvalidInput):
-            qfi_matrix(rho, small[1], small[2], method=method)      # N=5 state, N=3 derivatives
-        with pytest.raises(InvalidInput):
-            qfi_matrix(rho, dphi, reshaped, method=method)         # same count, other shapes
     with pytest.raises(InvalidInput):
-        qfi_matrix(single[0], dphi, deta, method="eigen")          # scenarios disagree
+        qfi_matrix(rho, small[1], small[2])                        # N=5 state, N=3 derivatives
+    with pytest.raises(InvalidInput):
+        qfi_matrix(rho, dphi, reshaped)                            # same count, other shapes
+    with pytest.raises(InvalidInput):
+        qfi_matrix(single[0], dphi, deta)                          # scenarios disagree
 
 
 def test_pure_block_report_path():
@@ -130,10 +130,9 @@ def test_two_mode_channel_report_matches_dense_routes(n):
     params = ChannelParams(0.6, 0.1 + 0.8 * rng.random(), n)
     rep = channel_report(probe, params)
     rho, dphi, deta = output_triple(probe, params)
-    for method in ("analytic", "eigen"):
-        ref = qfi_matrix(rho, dphi, deta, method=method)
-        np.testing.assert_allclose(rep.f, ref.f, rtol=0, atol=1e-10 * np.abs(ref.f).max())
-        assert abs(rep.i_phieta - ref.i_phieta) <= 1e-10 * abs(ref.i_phieta)
+    ref = qfi_matrix(rho, dphi, deta)
+    np.testing.assert_allclose(rep.f, ref.f, rtol=0, atol=1e-10 * np.abs(ref.f).max())
+    assert abs(rep.i_phieta - ref.i_phieta) <= 1e-10 * abs(ref.i_phieta)
 
 
 def test_scalar_crb_values():
@@ -200,12 +199,37 @@ def test_meas_quantifiers_trivial():
     assert meas_quantifiers(rep) == pytest.approx(1.0)
 
 
-def test_analytic_method_rejected_for_single_mode():
+def test_qfi_matrix_rejects_methods_other_than_eigen():
     rng = np.random.default_rng(7)
-    probe = FockProbe.random(Scenario.SINGLE, 4, rng)
-    rho, dphi, deta = output_triple(probe, ChannelParams(0.0, 0.5, 4))
-    with pytest.raises(InvalidInput):
-        qfi_matrix(rho, dphi, deta, method="analytic")
+    for scenario in (Scenario.SINGLE, Scenario.TWO):
+        probe = FockProbe.random(scenario, 4, rng)
+        rho, dphi, deta = output_triple(probe, ChannelParams(0.0, 0.5, 4))
+        for method in ("analytic", "auto", "dense"):
+            with pytest.raises(InvalidInput):
+                qfi_matrix(rho, dphi, deta, method=method)
+
+
+@pytest.mark.parametrize("f", [np.array([[4.0, 1.0], [1.0, 9.0]]),
+                               np.stack([np.diag([4.0, 9.0]), np.diag([2.0, 3.0]),
+                                         np.array([[5.0, -1.0], [-1.0, 2.0]])])],
+                         ids=["point", "stack"])
+def test_inv_calls_per_complete_report(monkeypatch, f):
+    # C_S and C_H_bar share one inverse of F, for a point and for a stack
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    i_phieta = 0.5j * np.ones(f.shape[:-2])
+    rep = complete_report(QfiReport(f=f, i_phieta=i_phieta), np.diag([1.0, 2.0]))
+    assert calls == [f.shape]
+    c_s = scalar_crb(f, np.diag([1.0, 2.0]))
+    np.testing.assert_array_equal(rep.c_s, c_s)
+    np.testing.assert_array_equal(rep.c_h_bar, hcrb_upper(f, i_phieta, np.diag([1.0, 2.0])))
+    assert np.all(rep.c_h_bar > rep.c_s)
 
 
 def test_pure_block_report_rejects_single_mode():

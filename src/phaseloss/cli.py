@@ -1,6 +1,6 @@
 """Batch driver emitting machine-readable sweep tables.
 
-Subcommands: optimize (see-saw probe search), gaussian-scan (Gaussian family
+Subcommands: optimize (probe search), gaussian-scan (Gaussian family
 sweeps), measure (detection-scheme variances), bounds (closed-form limits and
 the moment bound).  Tables go to --out (CSV by default, JSON with a metadata
 envelope on request); progress lines go to stderr.  Every command is
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_opt = sub.add_parser("optimize", help="see-saw probe optimization sweep")
+    p_opt = sub.add_parser("optimize", help="probe optimization sweep")
     common(p_opt)
     p_opt.add_argument("--scenario", choices=("single", "two"), default="two")
     p_opt.add_argument("--restarts", type=int, default=2)
@@ -265,7 +265,7 @@ def _progress(msg):
 # ---------------------------------------------------------------------------
 
 OPTIMIZE_HEADER = ["n", "eta", "f_phiphi", "f_etaeta", "f_phieta", "f_norm",
-                   "mean_n1", "var_n1", "r_h_bar", "converged", "iters"]
+                   "mean_n1", "var_n1", "r_h_bar", "converged", "iters", "gap"]
 
 
 def cmd_optimize(args):
@@ -301,7 +301,7 @@ def cmd_optimize(args):
                              + rep.f[1, 1] / lim.f_eta_max),
             "mean_n1": mean_n, "var_n1": var_n,
             "r_h_bar": (rep.c_s / rep.c_h_bar) if rep.c_h_bar else None,
-            "converged": result.converged, "iters": result.iterations,
+            "converged": result.converged, "iters": result.iterations, "gap": result.gap,
         }
         return row, result.probe.coeffs
 

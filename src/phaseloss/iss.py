@@ -1,14 +1,18 @@
-"""Iterative see-saw maximization of the weighted information sum over probes.
+"""Maximization of J = F_phiphi / w_phi + F_etaeta / w_eta over probes.
 
-One iteration alternates two exact maximizations: (i) for the current probe,
-the optimal quadratic witnesses of each parameter are its SLDs; (ii) for
-fixed witnesses, the optimal probe is the top eigenvector of the effective
-operator M assembled from the (m, n) Kraus table.  Both steps never decrease
-the objective, so the trace of top eigenvalues is monotone.
+Weights are the per-parameter normalizers; numpy.inf drops a parameter.
+With the default weights, the channel optima, J is twice the normalized sum.
 
-Weights are the per-parameter normalizers; numpy.inf drops a parameter
-(single-parameter optimization).  With the default weights the objective is
-F_phiphi / F_phi_max + F_etaeta / F_eta_max, twice the normalized sum.
+Two-mode layout: J depends on the probe only through its populations
+p_n = |c_n|^2, J(p) = c_phi sum_mn B_mn p_n (n - r_m)^2 + c_eta sum_n n p_n
+with B = |T|^2, q_m = sum_n B_mn p_n, r_m = sum_n n B_mn p_n / q_m,
+c_phi = 4 / w_phi and c_eta = 1 / (eta (1 - eta) w_eta).  J is concave on
+the simplex: a log-barrier Newton method maximizes it, and the Frank-Wolfe
+gap max_n g_n - g.p of the gradient g bounds J* - J (Jaggi, ICML 2013).
+
+Single-mode layout: a see-saw alternating two exact maximizations, the SLDs
+as witnesses for the current probe and the top eigenvector of the effective
+operator M for fixed witnesses; neither step lowers the objective.
 """
 
 from __future__ import annotations
@@ -30,10 +34,29 @@ from .linalg import hermitianize, solve_sld
 
 _EIG_DEGENERACY_TOL = 1e-12
 
+# A two-mode solve is converged when its gap is at most GAP_TOL * max(1, J).
+GAP_TOL = 1e-10
+# Barrier weight mu, times max(1, J) at the uniform start, falls by
+# _MU_FACTOR per stage; a stage ends when lam^2 <= _CENTERED * mu.
+_MU_START, _MU_STOP, _MU_FACTOR, _CENTERED = 0.1, 1e-16, 0.25, 0.1
+# A step keeps 1% of each population, halves at most _BACKTRACKS times and
+# must gain _ARMIJO of its predicted barrier gain unless that gain is below
+# _NOISE * max(1, J), where differences of J are rounding.
+_TO_BOUNDARY, _BACKTRACKS, _ARMIJO = 0.99, 8, 1e-4
+_NOISE = 1e3 * np.finfo(float).eps
+# |T|^2 below this is set to 0: it moves J and g by under 1e-100 c_phi N^3
+# and keeps the Newton solve out of subnormal arithmetic, which is slow.
+_FLUSH = 1e-100
+
 
 @dataclass(frozen=True)
 class IssConfig:
-    """Optimizer knobs; weights default to the channel optima per parameter."""
+    """Optimizer knobs; weights default to the channel optima per parameter.
+
+    ``max_iters`` caps see-saw iterations (single mode) or Newton steps (two
+    mode); ``conv_window``, ``conv_rel_tol``, ``restarts`` and ``seed`` steer
+    only the see-saw, since the two-mode solve stops on its certificate.
+    """
 
     weight_phi: float = None
     weight_eta: float = None
@@ -52,12 +75,17 @@ class IssConfig:
 
 @dataclass
 class IssResult:
+    """``objective_trace`` holds J at each accepted iterate and never
+    decreases; ``gap`` bounds J* - J for a two-mode probe and is NaN for the
+    single-mode layout, whose objective is not concave."""
+
     probe: FockProbe
     objective_trace: np.ndarray
     converged: bool
     final_qfi: "_qfi.QfiReport"
     iterations: int
     restart_objectives: list = field(default_factory=list)
+    gap: float = math.nan
 
 
 def _pure_block_slds(rho_b: np.ndarray, drho_b: np.ndarray, q: float) -> np.ndarray:
@@ -151,44 +179,6 @@ def _single_mode_m(slds, kraus: KrausFamily, weights) -> np.ndarray:
     return hermitianize(m_mat)
 
 
-def _fast_m_two_mode(coeffs: np.ndarray, kraus: KrausFamily, weights) -> np.ndarray:
-    """M for the two-mode layout as one array expression over (m, n).
-
-    With B = |T|^2, row m of B c (entrywise) is K_m' K_m c, the probe's block
-    vector psi_m lifted back to the input space.  Per parameter, block m of
-    M is a 4x4 Hermitian combination of the lifted vectors B c, G B c,
-    conj(G) B c and |G|^2 B c, weighted by q = |psi_m|^2, <psi_m, G psi_m>
-    and |G psi_m|^2; blocks that lost all weight (q < 1e-300) drop out.
-    """
-    n_pts = kraus.n_max + 1
-    b = np.abs(kraus.table) ** 2
-    bc = b * coeffs
-    p = b * np.abs(coeffs) ** 2                 # |psi_m|^2 entrywise
-    q = p.sum(axis=1)
-    live = q >= 1e-300
-    q = np.where(live, q, 1.0)
-    m_mat = np.zeros((n_pts, n_pts), dtype=complex)
-    for g, w in zip(kraus.generators(), weights):
-        if math.isinf(w):
-            continue
-        g_sq = np.abs(g) ** 2
-        pa = (g * p).sum(axis=1)                # <psi, G psi>
-        t = 2.0 * pa.real
-        norm_a = (g_sq * p).sum(axis=1)         # |G psi|^2
-        coef = np.zeros((n_pts, 4, 4), dtype=complex)
-        coef[:, 3, 0] = coef[:, 0, 3] = coef[:, 2, 1] = coef[:, 1, 2] = 4.0 / q
-        coef[:, 1, 1] = -4.0 / q
-        coef[:, 2, 0] = coef[:, 0, 2] = -2.0 * t / q ** 2
-        coef[:, 1, 0] = -2.0 * (2.0 * pa - t) / q ** 2
-        coef[:, 0, 1] = np.conj(coef[:, 1, 0])
-        coef[:, 0, 0] = -(4.0 * norm_a - t ** 2 / q) / q ** 2
-        coef[~live] = 0.0
-        lifted = np.stack([bc, g * bc, np.conj(g) * bc, g_sq * bc])
-        right = np.einsum("mkl,lmn->kmn", coef / w, lifted.conj())
-        m_mat += lifted.reshape(-1, n_pts).T @ right.reshape(-1, n_pts)
-    return hermitianize(m_mat)
-
-
 def _top_eigvec(m_mat: np.ndarray, previous: np.ndarray):
     vals, vecs = np.linalg.eigh(m_mat)
     top = vals[-1]
@@ -209,13 +199,117 @@ def _gauge_fixed(coeffs: np.ndarray) -> np.ndarray:
     return fixed / np.linalg.norm(fixed)
 
 
-def optimize(config: IssConfig, params: ChannelParams, scenario: Scenario) -> IssResult:
-    """Best probe over restarts; convergence when the trailing objective
-    window is flat to the configured relative tolerance."""
-    kraus = build_kraus(params, scenario)
-    weights = _resolve_weights(config, params)
-    n_pts = params.n_max + 1
+def _certified(gap: float, j: float) -> bool:
+    return gap <= GAP_TOL * max(1.0, j)
 
+
+def _population_objective(p: np.ndarray, b: np.ndarray, coef):
+    """J, its gradient g and the Hessian factors (V, q) at populations p > 0.
+
+    ``coef`` is (c_phi, c_eta).  g_n = c_phi sum_m B_mn (n - r_m)^2 + c_eta n
+    and the Hessian is -2 c_phi V' diag(1/q) V with V_mn = B_mn (n - r_m).
+    J is homogeneous of degree 1, so J = g.p.  Blocks with q_m = 0 carry no
+    weight and drop out.
+    """
+    c_phi, c_eta = coef
+    n = np.arange(len(p))
+    q = b @ p
+    r = np.divide(b @ (n * p), q, out=np.zeros_like(q), where=q > 0)
+    dev = n - r[:, None]
+    v = b * dev
+    g = c_phi * np.einsum("mn,mn->n", v, dev) + c_eta * n
+    return float(g @ p), g, v, q
+
+
+def _newton_step(p, j, g, v, q, c_phi, mu):
+    """Scaled Newton step e = d / p of max J + mu sum log p, sum p = 1, and
+    its decrement lam^2 (twice the predicted barrier gain).
+
+    KKT: [mu I + 2 c_phi H'H, p; p', 0] [e; -nu] = [p (g - J) + mu; 0] with
+    H = V diag(p) / sqrt(q); the multiplier absorbs the J p taken out of the
+    right-hand side, so rounding of J does not enter e.
+    """
+    n_pts = len(p)
+    h = v * p / np.sqrt(np.where(q > 0, q, 1.0))[:, None]
+    kkt = np.zeros((n_pts + 1, n_pts + 1))
+    kkt[:n_pts, :n_pts] = 2.0 * c_phi * (h.T @ h)
+    kkt[np.arange(n_pts), np.arange(n_pts)] += mu
+    kkt[:n_pts, n_pts] = kkt[n_pts, :n_pts] = p
+    rhs = p * (g - j) + mu
+    e = np.linalg.solve(kkt, np.append(rhs, 0.0))[:n_pts]
+    return e, float(rhs @ e)
+
+
+def _line_search(p, state, e, lam2, mu, b, coef):
+    """The accepted point along p (1 + t e), or None if no step qualifies.
+
+    J may not fall: in floats, or provably, g(trial).(trial - p) >= 0 by
+    concavity.  A certified point is never traded for an uncertified one.
+    """
+    j, g = state[0], state[1]
+    if (g - j) @ (p * e) <= 0.0:
+        return None                   # J is concave: it falls for every t > 0
+    certified = _certified(g.max() - j, j)
+    shrink = e < 0.0
+    t = min(1.0, _TO_BOUNDARY / -e[shrink].min()) if shrink.any() else 1.0
+    for _ in range(_BACKTRACKS):
+        trial = p * (1.0 + t * e)
+        trial /= trial.sum()
+        out = _population_objective(trial, b, coef)
+        j_t, g_t = out[0], out[1]
+        rises = j_t >= j or (g_t - j_t) @ (trial - p) >= 0.0
+        keeps = not certified or _certified(g_t.max() - j_t, j_t)
+        gain = j_t - j + mu * np.log1p(t * e).sum()
+        enough = gain >= _ARMIJO * t * lam2 or t * lam2 <= _NOISE * max(1.0, abs(j))
+        if rises and keeps and enough:
+            return trial, out
+        t *= 0.5
+    return None
+
+
+def _certified_two_mode(kraus: KrausFamily, weights, max_iters: int):
+    """Maximize J over two-mode populations; returns (p, trace, gap, steps).
+
+    Path following from the uniform populations; stops once mu is at
+    _MU_STOP with the gap certified, when no step there qualifies, or after
+    ``max_iters`` Newton steps.
+    """
+    eta = kraus.params.eta
+    w_phi, w_eta = weights
+    coef = (4.0 / w_phi, 1.0 / (eta * (1.0 - eta) * w_eta))
+    b = np.abs(kraus.table) ** 2
+    b[b < _FLUSH] = 0.0
+    p = np.full(kraus.n_max + 1, 1.0 / (kraus.n_max + 1))
+    state = _population_objective(p, b, coef)
+    scale = max(1.0, state[0])
+    mu, mu_stop = _MU_START * scale, _MU_STOP * scale
+    trace = [state[0]]
+    steps = 0
+    while steps < max_iters:
+        j, g, v, q = state
+        if mu <= mu_stop and _certified(g.max() - j, j):
+            break
+        e, lam2 = _newton_step(p, j, g, v, q, coef[0], mu)
+        steps += 1
+        accepted = None
+        if lam2 > _CENTERED * mu or mu <= mu_stop:
+            accepted = _line_search(p, state, e, lam2, mu, b, coef)
+        if accepted is None:
+            if mu <= mu_stop:
+                break
+            mu = max(mu * _MU_FACTOR, mu_stop)
+            continue
+        p, state = accepted
+        # a step proven not to lower J (see _line_search) may still round
+        # it down by an ulp; the trace keeps the larger value
+        trace.append(max(trace[-1], state[0]))
+    return p, trace, float(state[1].max() - state[0]), steps
+
+
+def _seesaw(config: IssConfig, kraus: KrausFamily, weights):
+    """(coeffs, trace, converged, restart objectives) of the best see-saw
+    start; converged when the trailing window is flat to conv_rel_tol."""
+    n_pts = kraus.n_max + 1
     best = None
     restart_objectives = []
     for k in range(config.restarts):
@@ -225,13 +319,9 @@ def optimize(config: IssConfig, params: ChannelParams, scenario: Scenario) -> Is
         trace = []
         converged = False
         for _ in range(config.max_iters):
-            if scenario is Scenario.TWO:
-                m_mat = _fast_m_two_mode(coeffs, kraus, weights)
-            else:
-                probe = FockProbe(scenario, coeffs)
-                slds = channel_slds(probe, kraus)
-                m_mat = build_m_matrix(probe, slds, kraus, weights)
-            mu, coeffs = _top_eigvec(m_mat, coeffs)
+            probe = FockProbe(kraus.scenario, coeffs)
+            slds = channel_slds(probe, kraus)
+            mu, coeffs = _top_eigvec(build_m_matrix(probe, slds, kraus, weights), coeffs)
             trace.append(mu)
             if len(trace) >= config.conv_window:
                 window = trace[-config.conv_window:]
@@ -242,10 +332,29 @@ def optimize(config: IssConfig, params: ChannelParams, scenario: Scenario) -> Is
         restart_objectives.append(objective)
         if best is None or objective > best[0] + 1e-15:
             best = (objective, coeffs.copy(), np.array(trace), converged)
+    return _gauge_fixed(best[1]), best[2], best[3], restart_objectives
 
-    _, coeffs, trace, converged = best
-    probe = FockProbe(scenario, _gauge_fixed(coeffs))
+
+def optimize(config: IssConfig, params: ChannelParams, scenario: Scenario) -> IssResult:
+    """Best probe for the weighted information sum.
+
+    Two mode: the barrier-Newton solve, probe sqrt(p), converged when the
+    gap is at most GAP_TOL * max(1, J); ``restarts`` and ``seed`` do not
+    matter and ``restart_objectives`` holds its one value.  Single mode: the
+    see-saw over ``restarts`` seeded random starts.
+    """
+    kraus = build_kraus(params, scenario)
+    weights = _resolve_weights(config, params)
+    if scenario is Scenario.TWO:
+        p, trace, gap, steps = _certified_two_mode(kraus, weights, config.max_iters)
+        probe = FockProbe.from_amplitudes(scenario, np.sqrt(p))
+        converged = _certified(gap, trace[-1])
+        restart_objectives = [trace[-1]]
+    else:
+        coeffs, trace, converged, restart_objectives = _seesaw(config, kraus, weights)
+        probe = FockProbe(scenario, coeffs)
+        gap, steps = math.nan, len(trace)
     report = _qfi.channel_report(probe, params)
-    return IssResult(probe=probe, objective_trace=trace, converged=converged,
-                     final_qfi=report, iterations=len(trace),
-                     restart_objectives=restart_objectives)
+    return IssResult(probe=probe, objective_trace=np.asarray(trace), converged=converged,
+                     final_qfi=report, iterations=steps,
+                     restart_objectives=restart_objectives, gap=gap)

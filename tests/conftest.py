@@ -110,6 +110,44 @@ def single_mode_m_matrix(slds, kraus, weights):
     return hermitianize(m_mat)
 
 
+def two_mode_m_matrix(coeffs, kraus, weights):
+    """Two-mode see-saw operator M as one array expression over (m, n).
+
+    With B = |T|^2, row m of B c (entrywise) is K_m' K_m c, the probe's block
+    vector psi_m lifted back to the input space.  Per parameter, block m of
+    M is a 4x4 Hermitian combination of the lifted vectors B c, G B c,
+    conj(G) B c and |G|^2 B c, weighted by q = |psi_m|^2, <psi_m, G psi_m>
+    and |G psi_m|^2; blocks that lost all weight (q < 1e-300) drop out.
+    """
+    n_pts = kraus.n_max + 1
+    b = np.abs(kraus.table) ** 2
+    bc = b * coeffs
+    p = b * np.abs(coeffs) ** 2                 # |psi_m|^2 entrywise
+    q = p.sum(axis=1)
+    live = q >= 1e-300
+    q = np.where(live, q, 1.0)
+    m_mat = np.zeros((n_pts, n_pts), dtype=complex)
+    for g, w in zip(kraus.generators(), weights):
+        if math.isinf(w):
+            continue
+        g_sq = np.abs(g) ** 2
+        pa = (g * p).sum(axis=1)                # <psi, G psi>
+        t = 2.0 * pa.real
+        norm_a = (g_sq * p).sum(axis=1)         # |G psi|^2
+        coef = np.zeros((n_pts, 4, 4), dtype=complex)
+        coef[:, 3, 0] = coef[:, 0, 3] = coef[:, 2, 1] = coef[:, 1, 2] = 4.0 / q
+        coef[:, 1, 1] = -4.0 / q
+        coef[:, 2, 0] = coef[:, 0, 2] = -2.0 * t / q ** 2
+        coef[:, 1, 0] = -2.0 * (2.0 * pa - t) / q ** 2
+        coef[:, 0, 1] = np.conj(coef[:, 1, 0])
+        coef[:, 0, 0] = -(4.0 * norm_a - t ** 2 / q) / q ** 2
+        coef[~live] = 0.0
+        lifted = np.stack([bc, g * bc, np.conj(g) * bc, g_sq * bc])
+        right = np.einsum("mkl,lmn->kmn", coef / w, lifted.conj())
+        m_mat += lifted.reshape(-1, n_pts).T @ right.reshape(-1, n_pts)
+    return hermitianize(m_mat)
+
+
 def finite_diff_output(probe, phi, eta, n_max, which, delta=1e-5):
     """Central-difference derivative of the channel output (dense form)."""
     def dense_at(p, e):

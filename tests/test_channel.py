@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import phaseloss.channel
 from conftest import dense, finite_diff_output, kraus_matrix, kraus_sum_output
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
@@ -214,6 +215,31 @@ def test_beamsplitter_sector_unitarity():
         for tau in (0.0, 0.3, 1.0):
             u = beamsplitter_sector(total, tau)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(total + 1), atol=1e-10)
+
+
+@pytest.mark.parametrize("total", [1, 2, 7, 30, 100])
+def test_beamsplitter_sector_matches_complex_generator(total):
+    # reference: eigendecomposition of the generator built as a complex matrix
+    k = np.arange(total)
+    gen = np.zeros((total + 1, total + 1), dtype=complex)
+    gen[k + 1, k] = gen[k, k + 1] = np.sqrt((k + 1) * (total - k))
+    vals, vecs = np.linalg.eigh(gen)
+    for tau, sign in ((0.0, -1.0), (0.3, -1.0), (0.5, 1.0), (0.9, 1.0), (1.0, -1.0)):
+        theta = np.arccos(np.sqrt(tau))
+        ref = (vecs * np.exp(sign * 1j * theta * vals)) @ vecs.conj().T
+        u = beamsplitter_sector(total, tau, reflect_sign=sign)
+        np.testing.assert_allclose(u, ref, atol=1e-12)
+    assert beamsplitter_sector(total, 0.3).flags.writeable     # a fresh array, not the cache
+
+
+def test_sector_eigenbasis_cache_is_bounded():
+    cache = phaseloss.channel._cached_sector_eigenbasis
+    cache.cache_clear()
+    top = phaseloss.channel._CACHED_TOTALS
+    for total in (3, top, top + 1, top + 40, 3):
+        beamsplitter_sector(total, 0.5)
+    assert cache.cache_info().currsize == 2
+    assert cache.cache_info().hits == 1
 
 
 def test_beamsplitter_balanced_single_photon():

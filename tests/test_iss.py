@@ -7,7 +7,7 @@ from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel
                                apply_channel_derivatives, build_kraus)
 from phaseloss.iss import (IssConfig, build_m_matrix, channel_slds, optimize,
                            probe_statistics)
-from phaseloss.iss import _fast_m_two_mode
+from conftest import two_mode_m_matrix as _fast_m_two_mode
 from phaseloss.linalg import hermitianize
 from phaseloss.qfi import channel_report, qfi_matrix
 
@@ -248,3 +248,52 @@ def test_optimized_probe_quantifier_regression():
     f_norm = 0.5 * res.objective_trace[-1]
     assert 0.5 < f_norm < 1.0
     assert f_norm == pytest.approx(0.749402, abs=2e-4)
+
+
+@pytest.mark.parametrize("n, value", [
+    (20, 1.498804780036), (40, 1.558515390968),
+    (120, 1.649805633145), (200, 1.689036648067)])
+def test_certified_two_mode_values(n, value):
+    res = optimize(IssConfig(), ChannelParams(0.0, 0.1, n), Scenario.TWO)
+    assert res.converged
+    assert 0.0 <= res.gap <= 1e-9
+    assert res.objective_trace[-1] == pytest.approx(value, abs=1e-9)
+    assert np.all(np.diff(res.objective_trace) >= 0.0)
+    assert res.restart_objectives == [res.objective_trace[-1]]
+    lim_phi, lim_eta = 4 * 0.1 * n / 0.9, n / 0.09
+    f = res.final_qfi.f
+    assert f[0, 0] / lim_phi + f[1, 1] / lim_eta == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_certified_probe_is_a_seesaw_fixed_point(n):
+    # KKT at the optimum: M c = J c for the see-saw operator at c = sqrt(p)
+    params = ChannelParams(0.0, 0.1, n)
+    res = optimize(IssConfig(), params, Scenario.TWO)
+    weights = (4 * 0.1 * n / 0.9, n / 0.09)
+    c = res.probe.coeffs
+    m_mat = _fast_m_two_mode(c, build_kraus(params, Scenario.TWO), weights)
+    j = res.objective_trace[-1]
+    assert np.vdot(c, m_mat @ c).real == pytest.approx(j, rel=1e-12)
+    assert np.linalg.norm(m_mat @ c - j * c) <= 1e-8 * j
+
+
+def test_two_mode_result_ignores_seed_and_restarts():
+    params = ChannelParams(0.0, 0.3, 12)
+    base = optimize(IssConfig(), params, Scenario.TWO)
+    other = optimize(IssConfig(restarts=3, seed=9, conv_rel_tol=0.5, conv_window=2),
+                     params, Scenario.TWO)
+    np.testing.assert_array_equal(base.probe.coeffs, other.probe.coeffs)
+    assert base.gap == other.gap
+
+
+def test_two_mode_newton_steps_capped():
+    res = optimize(IssConfig(max_iters=5), ChannelParams(0.0, 0.1, 30), Scenario.TWO)
+    assert res.iterations == 5
+    assert not res.converged
+    assert res.gap > 1e-9
+
+
+def test_single_mode_gap_is_nan():
+    res = optimize(IssConfig(max_iters=5), ChannelParams(0.0, 0.4, 4), Scenario.SINGLE)
+    assert np.isnan(res.gap)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import phaseloss.channel
 import phaseloss.measurement
 from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
@@ -91,6 +92,25 @@ def test_sector_unitaries_per_counting_call(monkeypatch):
     rho, dphi, deta = fock_output(probe, ChannelParams(0.4, 0.6, n))
     counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=0.4), dphi, deta)
     assert totals == [n - m for m in range(n + 1)]
+
+
+def test_sector_eigenbasis_once_per_total(monkeypatch):
+    # repeated readouts reuse each sector's eigenbasis: one eigh per total
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    phaseloss.channel._cached_sector_eigenbasis.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    n = 6
+    probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(3))
+    rho, dphi, deta = fock_output(probe, ChannelParams(0.4, 0.6, n))
+    for tau in (0.25, 0.5, 0.25, 1.0):
+        counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=tau), dphi, deta)
+    assert sorted(calls) == [(t + 1, t + 1) for t in range(1, n + 1)]
 
 
 def test_two_mode_squeezed_counting_loss_variance():

@@ -5,17 +5,17 @@ __version__ = "0.1.0"
 
 from .bounds import (FundamentalLimits, KrausGauge, fundamental_limits,
                      loss_kraus_term, phase_qnd_bound, probe_incomp_bound)
-from .channel import (BlockDensity, ChannelParams, FockProbe, KrausFamily,
-                      Scenario, apply_channel, apply_channel_derivatives,
-                      beamsplitter_sector, binomial_loss_coeff, build_kraus,
-                      probe_statistics)
+from .channel import (BlockDensity, ChannelParams, ChannelPoints, FockProbe,
+                      KrausFamily, Scenario, apply_channel,
+                      apply_channel_derivatives, beamsplitter_sector,
+                      binomial_loss_coeff, build_kraus, probe_statistics)
 from .errors import (DegenerateChannel, InvalidInput, InvalidState,
                      SingularInformation, Unsupported)
-from .gaussian import (ChannelPoints, EnergySplit, EvolvedGaussian,
-                       GaussianProbeSpec, GaussianState, ProbeFamily, Regime,
-                       asymptotic_limits, evolve, evolve_with_derivatives,
-                       evolved_qfi, fock_truncation, gaussian_qfi, make_probe,
-                       mix_modes, photon_moments, probe_moments, spec_from_split)
+from .gaussian import (EnergySplit, EvolvedGaussian, GaussianProbeSpec,
+                       GaussianState, ProbeFamily, Regime, asymptotic_limits,
+                       evolve, evolve_with_derivatives, evolved_qfi,
+                       fock_truncation, gaussian_qfi, make_probe, mix_modes,
+                       photon_moments, probe_moments, spec_from_split)
 from .iss import IssConfig, IssResult, build_m_matrix, channel_slds, optimize
 from .linalg import EigenSystem, hermitian_eig, hermitianize, solve_sld, trace_norm
 from .measurement import (DetectionScheme, MomentSet, SchemeKind,

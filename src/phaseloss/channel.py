@@ -35,20 +35,42 @@ class Scenario(str, Enum):
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Phase phi, transmissivity eta and photon cutoff n_max."""
+class ChannelPoints:
+    """Phase phi and transmissivity eta of one channel point or a stack of them.
+
+    ``phi`` and ``eta`` are float arrays that broadcast against each other and
+    against a stack of states; the Gaussian formalism needs nothing more.
+    """
+
+    phi: np.ndarray
+    eta: np.ndarray
+
+    def __post_init__(self):
+        phi = np.asarray(self.phi, dtype=float)
+        eta = np.asarray(self.eta, dtype=float)
+        if not np.all((0.0 < eta) & (eta < 1.0)):
+            raise InvalidInput(f"eta must lie strictly inside (0, 1), got {self.eta}")
+        if not np.all(np.isfinite(phi)):
+            raise InvalidInput("phi must be finite")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "eta", eta)
+
+
+@dataclass(frozen=True)
+class ChannelParams(ChannelPoints):
+    """One channel point (float phi and eta) with the photon cutoff n_max of
+    its number basis."""
 
     phi: float
     eta: float
     n_max: int
 
     def __post_init__(self):
-        if not (0.0 < self.eta < 1.0):
-            raise InvalidInput(f"eta must lie strictly inside (0, 1), got {self.eta}")
+        super().__post_init__()
         if self.n_max < 1:
             raise InvalidInput("n_max must be a positive integer")
-        if not np.isfinite(self.phi):
-            raise InvalidInput("phi must be finite")
+        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "eta", float(self.eta))
 
 
 @dataclass(frozen=True)
@@ -163,9 +185,6 @@ class BlockDensity:
 
     def trace(self) -> float:
         return float(sum(np.trace(b).real for b in self.blocks))
-
-    def purity(self) -> float:
-        return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
 
 
 def _check_compatible(probe: FockProbe, kraus: KrausFamily):

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import measurement as meas
-from .channel import (ChannelParams, Scenario, apply_channel,
+from .channel import (ChannelParams, ChannelPoints, Scenario, apply_channel,
                       apply_channel_derivatives, build_kraus, probe_statistics)
 from .errors import (DegenerateChannel, InvalidInput, InvalidState,
                      SingularInformation, Unsupported)
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", help="comma list of transmissivities")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0 = hardware parallelism)")
+                       help="accepted and ignored: rows run in order")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -136,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_me.add_argument("--chi", default="pi/2")
     p_me.add_argument("--p", type=float, default=0.5)
     p_me.add_argument("--q", type=float, default=0.5)
-    p_me.add_argument("--restarts", type=int, default=2)
+    p_me.add_argument("--restarts", type=int, default=2,
+                      help="accepted and ignored: the two-mode optimum has one start")
 
     p_bd = sub.add_parser("bounds", help="closed-form limits and moment bounds")
     common(p_bd)
@@ -171,15 +171,6 @@ def _sweep_values(args):
 # first row that raises one
 _ROW_ERRORS = (InvalidInput, DegenerateChannel, InvalidState, SingularInformation,
                Unsupported, FloatingPointError)
-
-
-def _run_pool(points, worker, threads):
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(points) == 1:
-        return [worker(ix, pt) for ix, pt in enumerate(points)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, ix, pt) for ix, pt in enumerate(points)]
-        return [f.result() for f in futures]
 
 
 def _batch_rows(points, build, evaluate):
@@ -226,13 +217,18 @@ def _fmt(value):
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return f"{value:.12g}"
     return str(value)
 
 
-def write_table(rows, header, args, extra_meta=None):
+def _json_value(value):
+    """A non-finite float as its CSV token, which strict JSON can carry."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
+
+
+def write_table(rows, header, args):
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -242,13 +238,12 @@ def write_table(rows, header, args, extra_meta=None):
         text = buf.getvalue()
     else:
         meta = {"version": __version__, "command": args.command, "seed": args.seed,
-                "config": {k: v for k, v in vars(args).items()
+                "config": {k: _json_value(v) for k, v in vars(args).items()
                            if k not in ("command",) and v is not None}}
-        if extra_meta:
-            meta.update(extra_meta)
         payload = {"meta": meta,
-                   "rows": [{col: row.get(col) for col in header} for row in rows]}
-        text = json.dumps(payload, indent=2, default=_fmt) + "\n"
+                   "rows": [{col: _json_value(row.get(col)) for col in header}
+                            for row in rows]}
+        text = json.dumps(payload, indent=2, default=_fmt, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -283,8 +278,8 @@ def cmd_optimize(args):
     weight_phi = parse_weight(args.weight_phi)
     weight_eta = parse_weight(args.weight_eta)
 
-    def worker(index, point):
-        n, eta = point
+    rows, probes = [], []
+    for index, (n, eta) in enumerate(points):
         cfg = IssConfig(weight_phi=weight_phi, weight_eta=weight_eta,
                         max_iters=args.max_iters, conv_rel_tol=args.conv_tol,
                         restarts=args.restarts, seed=args.seed + 7919 * index)
@@ -294,7 +289,7 @@ def cmd_optimize(args):
         mean_n, var_n = probe_statistics(result.probe)
         _progress(f"optimize n={n} eta={eta}: objective={result.objective_trace[-1]:.6f} "
                   f"iters={result.iterations}")
-        row = {
+        rows.append({
             "n": n, "eta": eta,
             "f_phiphi": rep.f[0, 0], "f_etaeta": rep.f[1, 1], "f_phieta": rep.f[0, 1],
             "f_norm": 0.5 * (rep.f[0, 0] / lim.f_phi_max_s12
@@ -302,11 +297,8 @@ def cmd_optimize(args):
             "mean_n1": mean_n, "var_n1": var_n,
             "r_h_bar": (rep.c_s / rep.c_h_bar) if rep.c_h_bar else None,
             "converged": result.converged, "iters": result.iterations, "gap": result.gap,
-        }
-        return row, result.probe.coeffs
-
-    results = _run_pool(points, worker, args.threads)
-    rows = [r for r, _ in results]
+        })
+        probes.append(result.probe.coeffs)
     write_table(rows, OPTIMIZE_HEADER, args)
     if args.out:
         stem, ext = os.path.splitext(args.out)
@@ -314,7 +306,7 @@ def cmd_optimize(args):
         with open(coeff_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "eta", "index", "re", "im"])
-            for (row, coeffs) in results:
+            for row, coeffs in zip(rows, probes):
                 for k, c in enumerate(coeffs):
                     writer.writerow([row["n"], _fmt(row["eta"]), k,
                                      _fmt(float(c.real)), _fmt(float(c.imag))])
@@ -347,7 +339,7 @@ def cmd_gaussian_scan(args):
 
     def evaluate(inputs):
         points, specs, lims = zip(*inputs)
-        channel = gauss.ChannelPoints(0.0, [eta for _, eta, _ in points])
+        channel = ChannelPoints(0.0, [eta for _, eta, _ in points])
         rep = gauss.gaussian_qfi(gauss.make_probe(specs), channel,
                                  [spec.tau_in for spec in specs],
                                  w=np.array([lim.weights() for lim in lims]))
@@ -425,7 +417,7 @@ def _measure_gaussian(args, kind, chi, points):
     def evaluate(inputs):
         points, specs, lims = zip(*inputs)
         n_pts = len(points)
-        channel = gauss.ChannelPoints(np.full(n_pts, phi_op), [p[1] for p in points])
+        channel = ChannelPoints(np.full(n_pts, phi_op), [p[1] for p in points])
         ev = gauss.evolve_with_derivatives(gauss.make_probe(specs), channel,
                                            [spec.tau_in for spec in specs])
         rep = gauss.evolved_qfi(ev, w=np.array([lim.weights() for lim in lims]))
@@ -450,33 +442,27 @@ def _measure_gaussian(args, kind, chi, points):
 
 
 def _measure_fock(args, kind, points):
-    """Number-basis rows on the worker pool; each distinct (n, eta) is
-    optimized once, before the rows share it."""
-    def fock_output(index, pair):
-        n, eta = pair
-        cfg = IssConfig(restarts=args.restarts, seed=args.seed, max_iters=800,
-                        conv_rel_tol=1e-6)
-        result = optimize(cfg, ChannelParams(OPERATING_PHI, eta, n), Scenario.TWO)
-        kraus = build_kraus(ChannelParams(OPERATING_PHI, eta, n), Scenario.TWO)
-        rho = apply_channel(result.probe, kraus)
-        dphi, deta = apply_channel_derivatives(result.probe, kraus)
-        return rho, dphi, deta, result.final_qfi
-
+    """Number-basis rows in order; each distinct (n, eta) is optimized once,
+    by the first row that needs it."""
     fock_outputs = {}
-    if kind is meas.SchemeKind.COUNTING:
-        pairs = list(dict.fromkeys((n, eta) for n, eta, _, _ in points))
-        fock_outputs = dict(zip(pairs, _run_pool(pairs, fock_output, args.threads)))
-
-    def worker(index, point):
-        n, eta, tau_out, xi = point
+    rows = []
+    for n, eta, tau_out, xi in points:
         lim = bounds_mod.fundamental_limits(float(n), eta)
         scheme = meas.DetectionScheme(kind, tau_out=tau_out, xi=xi)
         row = {"n": n, "eta": eta, "probe": args.probe, "scheme": kind.value,
                "tau_out": tau_out, "xi": xi, "status": "ok"}
+        rows.append(row)
         if kind is meas.SchemeKind.HOMODYNE:
             row.update({"var_phi_fmax": None, "var_eta_fmax": None,
                         "r_scheme": None, "r_h_bar": None, "status": "unsupported"})
-            return row
+            continue
+        if (n, eta) not in fock_outputs:
+            params = ChannelParams(OPERATING_PHI, eta, n)
+            result = optimize(IssConfig(), params, Scenario.TWO)
+            kraus = build_kraus(params, Scenario.TWO)
+            fock_outputs[(n, eta)] = (apply_channel(result.probe, kraus),
+                                      *apply_channel_derivatives(result.probe, kraus),
+                                      result.final_qfi)
         rho, dphi, deta, rep = fock_outputs[(n, eta)]
         moments = meas.counting_moments(rho, scheme, dphi, deta)
         var_phi, var_eta = meas.error_propagation(moments)
@@ -489,9 +475,7 @@ def _measure_fock(args, kind, points):
             "r_scheme": r_scheme,
             "r_h_bar": (rep.c_s / rep.c_h_bar) if rep.c_h_bar else None,
         })
-        return row
-
-    return _run_pool(points, worker, args.threads)
+    return rows
 
 
 BOUNDS_HEADER = ["n", "eta", "f_phi_max", "f_phi_max_shared_loss", "f_eta_max",
@@ -504,12 +488,12 @@ def cmd_bounds(args):
     exponent = args.witness_exponent
     points = [(n, eta) for n in n_values for eta in eta_values]
 
-    def worker(index, point):
-        n, eta = point
+    rows = []
+    for n, eta in points:
         lim = bounds_mod.fundamental_limits(float(n), eta)
         mean_w = n - 0.5 * n ** exponent
         var_w = 0.25 * n ** (2.0 * exponent)
-        return {
+        rows.append({
             "n": n, "eta": eta,
             "f_phi_max": lim.f_phi_max_s12,
             "f_phi_max_shared_loss": lim.f_phi_max_s3,
@@ -519,9 +503,7 @@ def cmd_bounds(args):
             "witness_mean_n": mean_w,
             "witness_var_n": var_w,
             "witness_bound": bounds_mod.probe_incomp_bound(mean_w, var_w, float(n), eta),
-        }
-
-    rows = _run_pool(points, worker, args.threads)
+        })
     write_table(rows, BOUNDS_HEADER, args)
     return EXIT_OK
 

@@ -23,9 +23,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import bounds as _bounds
-from .channel import (ChannelParams, FockProbe, Scenario, _single_mode_output,
-                      beamsplitter_sector, build_kraus, probe_statistics)
+from .channel import (ChannelParams, ChannelPoints, FockProbe, Scenario,
+                      _single_mode_output, beamsplitter_sector, build_kraus,
+                      probe_statistics)
 from .errors import InvalidInput, InvalidState
 from .qfi import QfiReport, _point, complete_report
 
@@ -117,28 +117,6 @@ class GaussianProbeSpec:
     @property
     def n_total(self) -> float:
         return self.n_alpha + self.n_r
-
-
-@dataclass(frozen=True)
-class ChannelPoints:
-    """Phase and transmissivity of each point of a stack, without a cutoff.
-
-    The Gaussian functions read only ``phi`` and ``eta``, so a ChannelParams
-    serves for a single point.
-    """
-
-    phi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if not np.all((0.0 < eta) & (eta < 1.0)):
-            raise InvalidInput("eta must lie strictly inside (0, 1)")
-        if not np.all(np.isfinite(phi)):
-            raise InvalidInput("phi must be finite")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "eta", eta)
 
 
 @dataclass(frozen=True)
@@ -295,11 +273,11 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
-def evolve_with_derivatives(state: GaussianState, params,
+def evolve_with_derivatives(state: GaussianState, params: ChannelPoints,
                             tau_in) -> EvolvedGaussian:
     """Push (sigma, d) through beamsplitter, phase and loss, with derivatives.
 
-    ``params`` supplies phi and eta (a ChannelParams or ChannelPoints); they
+    ``params`` supplies phi and eta (a ChannelParams is one point); they
     and tau_in broadcast against the stack of states.  Loss and the phase
     generator are diagonal, so they act as entrywise row and column scalings.
     """
@@ -324,7 +302,7 @@ def evolve_with_derivatives(state: GaussianState, params,
                            root * (gen * d_rot), droot * d_rot)
 
 
-def evolve(state: GaussianState, params, tau_in) -> GaussianState:
+def evolve(state: GaussianState, params: ChannelPoints, tau_in) -> GaussianState:
     """Output Gaussian state of the phase+loss channel."""
     return evolve_with_derivatives(state, params, tau_in).state()
 
@@ -440,26 +418,13 @@ def evolved_qfi(ev: EvolvedGaussian, w: np.ndarray = None) -> QfiReport:
     return report
 
 
-def _limit_weights(n, eta) -> np.ndarray:
-    """The channel optima's weight matrix at budget n and transmissivity eta, per point."""
-    n, eta = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(eta, dtype=float))
-    weights = [_bounds.fundamental_limits(float(n_k), float(eta_k)).weights()
-               for n_k, eta_k in zip(n.ravel(), eta.ravel())]
-    return np.array(weights).reshape(n.shape + (2, 2))
-
-
-def gaussian_qfi(state: GaussianState, params, tau_in,
-                 w: np.ndarray = None, n_for_limits=None) -> QfiReport:
+def gaussian_qfi(state: GaussianState, params: ChannelPoints, tau_in,
+                 w: np.ndarray = None) -> QfiReport:
     """Information matrix of the evolved Gaussian state (or stack of states).
 
-    Evolves once and solves by ``evolved_qfi``.  Without ``w``, the weights
-    of the scalar bounds are the channel optima at ``n_for_limits`` photons,
-    when it is given.
+    Evolves once and solves by ``evolved_qfi``.
     """
-    ev = evolve_with_derivatives(state, params, tau_in)
-    if w is None and n_for_limits is not None:
-        w = _limit_weights(n_for_limits, params.eta)
-    return evolved_qfi(ev, w)
+    return evolved_qfi(evolve_with_derivatives(state, params, tau_in), w)
 
 
 def photon_moments(state: GaussianState):
@@ -700,7 +665,7 @@ def _fock_truncation_at(spec: GaussianProbeSpec, cutoff: int, norm_tol: float) -
     return _trim_grid(grid, norm_tol / 4.0)
 
 
-def grid_channel_output(grid: np.ndarray, params: ChannelParams):
+def grid_channel_output(grid: np.ndarray, params: ChannelPoints):
     """Dense output state and derivatives of phase+loss acting on grid mode 1.
 
     Returns (rho, drho_phi, drho_eta) as (D x D) matrices with the row-major

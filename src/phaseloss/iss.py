@@ -24,11 +24,9 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import qfi as _qfi
-# probe_statistics is re-exported: callers import it from this module too
 from .channel import (ChannelParams, FockProbe, KrausFamily, Scenario,
                       _single_mode_output, apply_channel,
-                      apply_channel_derivatives, block_vectors, build_kraus,
-                      probe_statistics)
+                      apply_channel_derivatives, block_vectors, build_kraus)
 from .errors import InvalidInput
 from .linalg import hermitianize, solve_sld
 

@@ -20,9 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import BlockDensity, Scenario, beamsplitter_sector
+from .channel import BlockDensity, ChannelPoints, Scenario, beamsplitter_sector
 from .errors import InvalidInput, Unsupported
-from .gaussian import (ChannelPoints, EnergySplit, EvolvedGaussian, GaussianState,
+from .gaussian import (EnergySplit, EvolvedGaussian, GaussianState,
                        ProbeFamily, _matvec, evolve_with_derivatives, make_probe,
                        number_covariance, spec_from_split)
 from .qfi import _point

@@ -17,11 +17,12 @@ import pytest
 from conftest import (fock_oracle_qfi, kraus_matrix, random_two_mode_spec,
                       single_mode_phase_qfi)
 from phaseloss.bounds import fundamental_limits, probe_incomp_bound
-from phaseloss.channel import ChannelParams, FockProbe, Scenario, build_kraus
+from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario,
+                               build_kraus, probe_statistics)
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily, Regime,
                                 asymptotic_limits, evolve_with_derivatives,
                                 gaussian_qfi, make_probe, spec_from_split)
-from phaseloss.iss import IssConfig, optimize, probe_statistics
+from phaseloss.iss import IssConfig, optimize
 from phaseloss.measurement import (DetectionScheme, SchemeKind, counting_moments,
                                    error_propagation, homodyne_moments)
 from phaseloss.qfi import channel_report, meas_quantifiers, probe_quantifier
@@ -71,7 +72,7 @@ def test_criterion_03_cross_formalism_oracle():
     for k in range(50):
         family = "single" if k % 2 == 0 else "two"
         spec = random_two_mode_spec(rng, n_total_max=3.0, families=(family,))
-        params = ChannelParams(float(rng.uniform(0, 6)), float(rng.uniform(0.2, 0.9)), 1)
+        params = ChannelPoints(float(rng.uniform(0, 6)), float(rng.uniform(0.2, 0.9)))
         rep = gaussian_qfi(make_probe(spec), params, spec.tau_in)
         f_ref, _ = fock_oracle_qfi(spec, params)
         worst = max(worst, np.abs(rep.f - f_ref).max() / np.abs(f_ref).max())
@@ -142,7 +143,7 @@ def test_criterion_07_gaussian_asymptotics():
     nbar, eta = 1e4, 0.1
     split = EnergySplit(nbar, p=0.5, q=0.3)
     lim = fundamental_limits(nbar, eta)
-    params = ChannelParams(0.0, eta, 1)
+    params = ChannelPoints(0.0, eta)
 
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, chi=np.pi / 2,
                            theta=np.pi / 2, tau_in=1.0)
@@ -191,7 +192,7 @@ def test_criterion_07_gaussian_asymptotics():
 def test_criterion_08_measurement_limits():
     alpha, eta = 1.9, 0.41
     spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=alpha)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(0.0, eta, 1), 1.0)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.0, eta), 1.0)
     moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING, tau_out=1.0))
     _, var_eta = error_propagation(moments)
     rel = abs(var_eta - eta / alpha ** 2) / (eta / alpha ** 2)
@@ -203,7 +204,7 @@ def test_criterion_08_measurement_limits():
     lim = fundamental_limits(nbar, eta)
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=0.0, theta=2 * xi,
                            chi=np.pi / 2, tau_in=1.0)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(0.0, eta, 1), 1.0)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.0, eta), 1.0)
     moments = homodyne_moments(ev, DetectionScheme(SchemeKind.HOMODYNE, tau_out=1.0, xi=xi))
     var_phi, var_eta = error_propagation(moments)
     sec2 = 1.0 / math.cos(xi) ** 2
@@ -231,8 +232,8 @@ def test_criterion_09_incompatibility_trends():
     split = EnergySplit(1e4, p=0.5, q=0.3)
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, chi=np.pi / 2,
                            theta=np.pi / 2, tau_in=1.0)
-    rep = gaussian_qfi(make_probe(spec), ChannelParams(0.0, 0.1, 1), 1.0,
-                       n_for_limits=split.n_total)
+    rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, 0.1), 1.0,
+                       w=np.array(fundamental_limits(split.n_total, 0.1).weights()))
     ratio = meas_quantifiers(rep)
     verdict(0.45 <= ratio <= 0.55, "criterion 9 (Gaussian family band)",
             f"ratio {ratio:.4f} in [0.45, 0.55] at n_total=1e4")

@@ -6,9 +6,8 @@ import pytest
 from phaseloss.bounds import (KrausGauge, fundamental_limits,
                               gauge_phase_expectation, loss_kraus_term,
                               phase_qnd_bound, probe_incomp_bound)
-from phaseloss.channel import ChannelParams, FockProbe, Scenario
+from phaseloss.channel import ChannelParams, FockProbe, Scenario, probe_statistics
 from phaseloss.errors import DegenerateChannel, InvalidInput
-from phaseloss.iss import probe_statistics
 from phaseloss.qfi import channel_report, probe_quantifier
 
 

@@ -187,6 +187,47 @@ def test_threads_deterministic_ordering():
     assert serial == parallel
 
 
+def test_rows_stop_at_first_failing_row_whatever_threads():
+    code, out, err = run_cli(["optimize", "--n", "3,0,5", "--eta", "0.5", "--threads", "4"])
+    assert code == 2
+    assert out == ""
+    assert "optimize n=3 eta=0.5" in err
+    assert "n=5" not in err
+    assert err.strip().splitlines()[-1].startswith("config error")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("argv, column, token", [
+    (["optimize", "--n", "4", "--eta", "0.3", "--scenario", "single"], "gap", "nan"),
+    (["measure", "--n", "100", "--eta", "0.3", "--scheme", "homodyne", "--xi", "0,pi/2"],
+     "var_phi_fmax", "inf")])
+def test_json_output_is_strict(argv, column, token):
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert rows[0][column] == token
+    _, csv_out, _ = run_cli(argv)
+    assert read_csv(csv_out)[0][column] == token
+
+
+def test_fmt_keeps_the_sign_of_infinity():
+    assert phaseloss.cli._fmt(-math.inf) == "-inf"
+    assert phaseloss.cli._fmt(math.inf) == "inf"
+
+
+def test_measure_fock_ignores_restarts_and_seed():
+    args = ["measure", "--n", "6,9", "--eta", "0.3,0.6", "--scheme", "counting",
+            "--probe", "fock", "--tau-out", "0.5,1"]
+    _, base, _ = run_cli(args)
+    for extra in (["--restarts", "1"], ["--restarts", "3"], ["--seed", "0"], ["--seed", "5"]):
+        code, out, _ = run_cli(args + extra)
+        assert code == 0
+        assert out == base, extra
+
+
 @pytest.mark.parametrize("token, value", [
     ("pi/4", math.pi / 4), ("-pi", -math.pi), ("3pi/2", 1.5 * math.pi),
     ("0.5*pi", 0.5 * math.pi), ("+pi/2", math.pi / 2), ("1e-3", 1e-3), (" 2 ", 2.0)])

@@ -6,8 +6,8 @@ import pytest
 from conftest import (fock_oracle_qfi, grid_channel_output_oracle, grid_moments,
                       random_two_mode_spec, single_mode_phase_qfi)
 from phaseloss.bounds import fundamental_limits
-from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
-                               apply_channel_derivatives, build_kraus)
+from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario,
+                               apply_channel, apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec,
                                 ProbeFamily, Regime,
@@ -67,14 +67,14 @@ def test_unmatched_phases_rejected():
 def test_evolve_unitary_case_preserves_spectrum():
     spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=0.5, r=0.6, theta1=0.3)
     state = make_probe(spec)
-    out = evolve(state, ChannelParams(0.8, 1 - 1e-14, 1), 1.0)
+    out = evolve(state, ChannelPoints(0.8, 1 - 1e-14), 1.0)
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(out.sigma)),
                                np.sort(np.linalg.eigvalsh(state.sigma)), atol=1e-9)
 
 
 def test_evolve_vacuum_fixed_point():
     vac = make_probe(GaussianProbeSpec(ProbeFamily.SINGLE_MODE))
-    out = evolve(vac, ChannelParams(1.1, 0.3, 1), 0.7)
+    out = evolve(vac, ChannelPoints(1.1, 0.3), 0.7)
     np.testing.assert_allclose(out.sigma, np.eye(4), atol=1e-14)
     np.testing.assert_allclose(out.d, np.zeros(4), atol=1e-14)
 
@@ -82,7 +82,7 @@ def test_evolve_vacuum_fixed_point():
 def test_evolve_coherent_state():
     alpha, mu, phi, eta = 1.3, 0.2, 0.9, 0.6
     state = make_probe(GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=alpha, mu=mu))
-    out = evolve(state, ChannelParams(phi, eta, 1), 1.0)
+    out = evolve(state, ChannelPoints(phi, eta), 1.0)
     np.testing.assert_allclose(out.sigma, np.eye(4), atol=1e-14)
     assert out.d[0] == pytest.approx(math.sqrt(eta) * alpha * np.exp(1j * (mu + phi)))
 
@@ -94,7 +94,7 @@ def test_evolve_physicality_random():
         state = make_probe(spec)
         eta = float(rng.uniform(0.02, 0.98))
         tau = float(rng.uniform(0.0, 1.0))
-        out = evolve(state, ChannelParams(float(rng.uniform(0, 6)), eta, 1), tau)
+        out = evolve(state, ChannelPoints(float(rng.uniform(0, 6)), eta), tau)
         assert out.physicality() > -1e-9 * max(1.0, np.abs(out.sigma).max())
 
 
@@ -103,15 +103,15 @@ def test_evolve_derivatives_match_finite_differences():
     spec = random_two_mode_spec(rng)
     state = make_probe(spec)
     phi, eta, tau, delta = 0.7, 0.45, 0.8, 1e-6
-    ev = evolve_with_derivatives(state, ChannelParams(phi, eta, 1), tau)
+    ev = evolve_with_derivatives(state, ChannelPoints(phi, eta), tau)
     for which, dsig, dd in (("phi", ev.dsigma_phi, ev.dd_phi),
                             ("eta", ev.dsigma_eta, ev.dd_eta)):
         if which == "phi":
-            hi = evolve(state, ChannelParams(phi + delta, eta, 1), tau)
-            lo = evolve(state, ChannelParams(phi - delta, eta, 1), tau)
+            hi = evolve(state, ChannelPoints(phi + delta, eta), tau)
+            lo = evolve(state, ChannelPoints(phi - delta, eta), tau)
         else:
-            hi = evolve(state, ChannelParams(phi, eta + delta, 1), tau)
-            lo = evolve(state, ChannelParams(phi, eta - delta, 1), tau)
+            hi = evolve(state, ChannelPoints(phi, eta + delta), tau)
+            lo = evolve(state, ChannelPoints(phi, eta - delta), tau)
         np.testing.assert_allclose((hi.sigma - lo.sigma) / (2 * delta), dsig, atol=1e-6)
         np.testing.assert_allclose((hi.d - lo.d) / (2 * delta), dd, atol=1e-6)
 
@@ -119,7 +119,7 @@ def test_evolve_derivatives_match_finite_differences():
 def test_coherent_probe_qfi_closed_form():
     alpha, eta = 1.4, 0.55
     state = make_probe(GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=alpha, mu=0.3))
-    rep = gaussian_qfi(state, ChannelParams(0.2, eta, 1), 1.0)
+    rep = gaussian_qfi(state, ChannelPoints(0.2, eta), 1.0)
     assert rep.f[0, 0] == pytest.approx(4 * eta * alpha ** 2, rel=1e-10)
     assert rep.f[1, 1] == pytest.approx(alpha ** 2 / eta, rel=1e-10)
     assert abs(rep.f[0, 1]) < 1e-10
@@ -130,7 +130,7 @@ def test_cross_formalism_oracle_strict():
     rng = np.random.default_rng(3)
     for _ in range(8):
         spec = random_two_mode_spec(rng)
-        params = ChannelParams(float(rng.uniform(0, 6)), float(rng.uniform(0.2, 0.9)), 1)
+        params = ChannelPoints(float(rng.uniform(0, 6)), float(rng.uniform(0.2, 0.9)))
         rep = gaussian_qfi(make_probe(spec), params, spec.tau_in)
         f_ref, i_ref = fock_oracle_qfi(spec, params)
         assert np.abs(rep.f - f_ref).max() < 1e-6 * np.abs(f_ref).max()
@@ -146,7 +146,7 @@ def test_single_mode_phase_closed_form_matches_fock_oracle():
                 if alpha == 0.0 and r == 0.0:
                     continue  # vacuum: the grid has no photon to lose
                 spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=alpha, r=r)
-                f_ref, _ = fock_oracle_qfi(spec, ChannelParams(0.0, eta, 1))
+                f_ref, _ = fock_oracle_qfi(spec, ChannelPoints(0.0, eta))
                 assert single_mode_phase_qfi(eta, alpha ** 2, r) == pytest.approx(
                     f_ref[0, 0], rel=1e-7)
 
@@ -160,7 +160,7 @@ def test_single_mode_phase_closed_form_matches_fock_oracle():
 ], ids=["single-mode", "two-mode-chi-pi/4", "tau-in-0.7"])
 def test_grid_channel_output_matches_per_m_oracle(spec):
     grid = mix_modes(fock_truncation(spec), spec.tau_in)
-    params = ChannelParams(0.7, 0.35, 1)
+    params = ChannelPoints(0.7, 0.35)
     for got, ref in zip(grid_channel_output(grid, params),
                         grid_channel_output_oracle(grid, params)):
         assert got.shape == (grid.size, grid.size)
@@ -182,7 +182,7 @@ def test_one_column_spectator_is_the_single_mode_channel():
 
 def test_lossless_pure_state_regularization():
     state = make_probe(GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=1.1, mu=0.0))
-    rep = gaussian_qfi(state, ChannelParams(0.0, 1 - 1e-15, 1), 1.0)
+    rep = gaussian_qfi(state, ChannelPoints(0.0, 1 - 1e-15), 1.0)
     assert rep.f[0, 0] == pytest.approx(4 * 1.1 ** 2, rel=1e-6)
 
 
@@ -225,7 +225,7 @@ def test_single_mode_correlation_closed_form():
                                  r=math.asinh(math.sqrt(n_r)),
                                  theta1=float(rng.uniform(0, 2 * np.pi)))
         eta = float(rng.uniform(0.15, 0.85))
-        rep = gaussian_qfi(make_probe(spec), ChannelParams(0.0, eta, 1), 1.0)
+        rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, eta), 1.0)
         closed = correlation_single_mode(eta, spec.n_alpha, spec.n_r, spec.theta1, spec.mu)
         assert rep.f[0, 1] == pytest.approx(closed, rel=1e-8)
 
@@ -238,14 +238,14 @@ def test_two_mode_correlation_closed_forms():
                            theta=(th1 + th2 - np.pi) / 2, theta1=th1, theta2=th2,
                            chi=0.0, tau_in=tau)
     eta = 0.37
-    rep = gaussian_qfi(make_probe(spec), ChannelParams(0.0, eta, 1), tau)
+    rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, eta), tau)
     n_sq = math.sinh(spec.r) ** 2
     closed = correlation_two_mode_chi0(eta, spec.n_alpha, n_sq, tau, th1, th2, mu)
     assert rep.f[0, 1] == pytest.approx(closed, rel=1e-4)
 
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=mu, theta=0.9,
                            chi=np.pi / 2, tau_in=0.7)
-    rep = gaussian_qfi(make_probe(spec), ChannelParams(0.0, eta, 1), 0.7)
+    rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, eta), 0.7)
     closed = correlation_two_mode_cross(eta, spec.n_alpha, math.sinh(spec.r) ** 2,
                                         0.7, 0.9, mu)
     assert rep.f[0, 1] == pytest.approx(closed, rel=1e-4)
@@ -258,7 +258,7 @@ def test_strong_displacement_asymptotics_single_mode():
     split = EnergySplit(1e6, p=0.5, q=0.3)
     for theta1, key in ((np.pi, "f_phi_norm"), (0.0, "f_eta_norm")):
         spec = spec_from_split(ProbeFamily.SINGLE_MODE, split, mu=0.0, theta1=theta1)
-        rep = gaussian_qfi(make_probe(spec), ChannelParams(0.0, 0.5, 1), 1.0)
+        rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, 0.5), 1.0)
         lim = fundamental_limits(split.n_total, 0.5)
         ratios = {"f_phi_norm": rep.f[0, 0] / lim.f_phi_max_s12,
                   "f_eta_norm": rep.f[1, 1] / lim.f_eta_max}
@@ -277,7 +277,7 @@ def test_case_split_limits_two_mode_chi0():
     tau = split.tau_in()
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, theta=-np.pi / 2,
                            theta1=0.0, theta2=0.0, chi=0.0, tau_in=tau)
-    rep = gaussian_qfi(make_probe(spec), ChannelParams(0.0, eta, 1), tau)
+    rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, eta), tau)
     lim = fundamental_limits(split.n_total, eta)
     assert rep.f[0, 0] / lim.f_phi_max_s12 == pytest.approx(entry["f_phi_norm"], abs=5e-3)
     assert rep.f[1, 1] / lim.f_eta_max == pytest.approx(entry["f_eta_norm"], abs=5e-3)
@@ -299,7 +299,7 @@ def test_strong_squeezing_trend():
         split = EnergySplit(nbar, p=0.5, q=0.5, regime=Regime.STRONG_SQUEEZING)
         spec = spec_from_split(ProbeFamily.TWO_MODE, split, theta=np.pi / 2,
                                theta1=np.pi, theta2=np.pi, chi=np.pi / 2, tau_in=1.0)
-        rep = gaussian_qfi(make_probe(spec), ChannelParams(0.0, 0.1, 1), 1.0)
+        rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, 0.1), 1.0)
         lim = fundamental_limits(nbar, 0.1)
         values.append(0.5 * (rep.f[0, 0] / lim.f_phi_max_s12
                              + rep.f[1, 1] / lim.f_eta_max))

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import (counting_moments_oracle, error_propagation_oracle,
                       evolve_oracle, gaussian_qfi_oracle, homodyne_moments_oracle,
                       random_two_mode_spec)
-from phaseloss.channel import ChannelParams
+from phaseloss.bounds import fundamental_limits
+from phaseloss.channel import ChannelPoints
 from phaseloss.errors import InvalidInput, SingularInformation
-from phaseloss.gaussian import (CHUNK, ChannelPoints, EnergySplit, GaussianProbeSpec,
+from phaseloss.gaussian import (CHUNK, EnergySplit, GaussianProbeSpec,
                                 GaussianState, ProbeFamily, evolve_with_derivatives,
                                 evolved_qfi, gaussian_qfi, make_probe, spec_from_split)
 from phaseloss.measurement import (DetectionScheme, SchemeKind, counting_moments,
@@ -96,10 +97,11 @@ def test_batch_matches_point_oracles(seed, n_pts):
 def test_single_point_is_the_stack_of_one():
     rng = np.random.default_rng(11)
     spec = random_two_mode_spec(rng)
-    params = ChannelParams(0.4, 0.35, 1)
-    one = gaussian_qfi(make_probe(spec), params, spec.tau_in, n_for_limits=3.0)
+    params = ChannelPoints(0.4, 0.35)
+    one = gaussian_qfi(make_probe(spec), params, spec.tau_in,
+                       w=np.array(fundamental_limits(3.0, 0.35).weights()))
     stack = gaussian_qfi(make_probe([spec]), ChannelPoints([0.4], [0.35]), [spec.tau_in],
-                         n_for_limits=3.0)
+                         w=np.array(fundamental_limits(3.0, 0.35).weights()))
     assert one.f.shape == (2, 2) and stack.f.shape == (1, 2, 2)
     np.testing.assert_array_equal(one.f, stack.f[0])
     assert one.i_phieta == stack.i_phieta[0]
@@ -110,7 +112,7 @@ def test_single_point_is_the_stack_of_one():
 def test_lossless_pure_state_takes_pinv_path():
     # the probe of test_lossless_pure_state_regularization
     state = make_probe(GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=1.1, mu=0.0))
-    rep = gaussian_qfi(state, ChannelParams(0.0, 1 - 1e-15, 1), 1.0)
+    rep = gaussian_qfi(state, ChannelPoints(0.0, 1 - 1e-15), 1.0)
     assert rep.pinv
     assert rep.cond > 1e10
 
@@ -120,7 +122,7 @@ def test_mixed_two_mode_probe_takes_solve_path():
     spec = random_two_mode_spec(rng, families=("two",))
     pure = make_probe(spec)
     mixed = GaussianState(pure.sigma + 0.6 * np.eye(4), pure.d)
-    rep = gaussian_qfi(mixed, ChannelParams(0.3, 0.55, 1), 0.7)
+    rep = gaussian_qfi(mixed, ChannelPoints(0.3, 0.55), 0.7)
     assert not rep.pinv
     assert 1.0 <= rep.cond <= 1e10
 
@@ -130,7 +132,7 @@ def test_cross_squeezed_measure_probe_takes_pinv_path():
     split = EnergySplit(100.0, p=0.5, q=0.5)
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=0.0, theta=math.pi / 2,
                            theta1=math.pi, theta2=math.pi, chi=math.pi / 2, tau_in=1.0)
-    rep = gaussian_qfi(make_probe(spec), ChannelParams(math.pi / 2, 0.3, 1), 1.0)
+    rep = gaussian_qfi(make_probe(spec), ChannelPoints(math.pi / 2, 0.3), 1.0)
     assert rep.pinv
     assert rep.cond > 1e10
 

@@ -4,9 +4,8 @@ import pytest
 from conftest import (kraus_matrix, kraus_sum_output, pre_qfi, single_mode_m_matrix,
                       sld_oracle)
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
-                               apply_channel_derivatives, build_kraus)
-from phaseloss.iss import (IssConfig, build_m_matrix, channel_slds, optimize,
-                           probe_statistics)
+                               apply_channel_derivatives, build_kraus, probe_statistics)
+from phaseloss.iss import IssConfig, build_m_matrix, channel_slds, optimize
 from conftest import two_mode_m_matrix as _fast_m_two_mode
 from phaseloss.linalg import hermitianize
 from phaseloss.qfi import channel_report, qfi_matrix

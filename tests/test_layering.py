@@ -3,7 +3,8 @@
 Every import sits at module level, so that the import graph is the one a
 reader sees at the top of each file and no cycle hides inside a function;
 the closed-form bounds depend on no other module of the package but the
-exception types.
+exception types.  The package runs in one thread: no module imports a
+thread or process pool.
 """
 
 import ast
@@ -51,3 +52,19 @@ def test_bounds_imports_no_package_module_but_errors():
     assert package_imports(tree) <= {"errors"}
     errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
     assert not package_imports(errors)
+
+
+CONCURRENCY = {"concurrent", "threading", "multiprocessing"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_concurrency_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    found = sorted(name for name in names if name.split(".")[0] in CONCURRENCY)
+    assert not found, f"{path.name} imports {', '.join(found)}"

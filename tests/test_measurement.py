@@ -6,8 +6,8 @@ import pytest
 import phaseloss.channel
 import phaseloss.measurement
 from phaseloss.bounds import fundamental_limits
-from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
-                               apply_channel_derivatives, build_kraus)
+from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario,
+                               apply_channel, apply_channel_derivatives, build_kraus)
 from phaseloss.errors import Unsupported
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily,
                                 evolve_with_derivatives, make_probe,
@@ -28,7 +28,7 @@ def fock_output(probe, params):
 
 def test_output_transform_identity():
     spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=0.7, r=0.3, theta1=0.2)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(0.1, 0.6, 1), 1.0)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.1, 0.6), 1.0)
     out = output_transform(DetectionScheme(SchemeKind.COUNTING, tau_out=1.0), ev)
     np.testing.assert_allclose(out.sigma, ev.sigma, atol=1e-14)
     np.testing.assert_allclose(out.d, ev.d, atol=1e-14)
@@ -56,7 +56,7 @@ def test_output_transform_preserves_block_traces():
 def test_coherent_counting_statistics():
     alpha, eta = 1.5, 0.62
     spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=alpha)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(0.0, eta, 1), 1.0)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.0, eta), 1.0)
     moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING, tau_out=1.0))
     assert moments.means[0] == pytest.approx(eta * alpha ** 2, rel=1e-12)
     assert moments.cov[0, 0] == pytest.approx(eta * alpha ** 2, rel=1e-12)
@@ -117,7 +117,7 @@ def test_two_mode_squeezed_counting_loss_variance():
     nbar, eta = 420.0, 0.3
     r = math.asinh(math.sqrt(nbar / 2))
     spec = GaussianProbeSpec(ProbeFamily.TWO_MODE, r=r, chi=np.pi / 2)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(0.0, eta, 1), 1.0)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.0, eta), 1.0)
     moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING, tau_out=1.0))
     _, var_eta = error_propagation(moments)
     assert var_eta == pytest.approx(2 * eta * (1 - eta) / nbar, rel=1e-10)
@@ -130,7 +130,7 @@ def test_displayed_counting_derivatives():
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=0.0, theta=np.pi / 2,
                            theta1=np.pi, theta2=0.0, chi=0.0, tau_in=tau_in)
     eta, tau_out = 0.37, 0.77
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(MID_FRINGE, eta, 1), tau_in)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(MID_FRINGE, eta), tau_in)
     moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING, tau_out=tau_out))
     n_sq = math.sinh(spec.r) ** 2
     assert moments.dphi[0] == pytest.approx(0.0, abs=1e-9)
@@ -151,7 +151,7 @@ def test_counting_tradeoff_argmins():
     def variance_curves(theta1):
         spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=0.0, theta=np.pi / 2,
                                theta1=theta1, theta2=0.0, chi=0.0, tau_in=tau_in)
-        ev = evolve_with_derivatives(make_probe(spec), ChannelParams(MID_FRINGE, eta, 1),
+        ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(MID_FRINGE, eta),
                                      tau_in)
         pairs = [error_propagation(counting_moments(
             ev, DetectionScheme(SchemeKind.COUNTING, tau_out=float(t)))) for t in taus]
@@ -165,7 +165,7 @@ def test_counting_tradeoff_argmins():
 
 def test_homodyne_vacuum_noise():
     spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(0.0, 0.5, 1), 1.0)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.0, 0.5), 1.0)
     moments = homodyne_moments(ev, DetectionScheme(SchemeKind.HOMODYNE, tau_out=0.8, xi=0.3))
     np.testing.assert_allclose(np.diag(moments.cov), [1.0, 1.0], atol=1e-12)
 
@@ -174,7 +174,7 @@ def test_homodyne_phase_derivative_formula():
     # coherent probe: the quadrature phase slope follows the rotated displacement
     alpha, mu, eta, tau_in, tau_out, xi = 1.2, 0.4, 0.55, 0.85, 0.9, 0.7
     spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=alpha, mu=mu, tau_in=tau_in)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(0.0, eta, 1), tau_in)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.0, eta), tau_in)
     moments = homodyne_moments(ev, DetectionScheme(SchemeKind.HOMODYNE, tau_out=tau_out, xi=xi))
     expected = -2 * math.sqrt(eta * tau_in * tau_out) * alpha * math.sin(mu - xi)
     assert moments.dphi[0] == pytest.approx(expected, rel=1e-10)
@@ -187,7 +187,7 @@ def test_homodyne_quadrature_tradeoff():
     split = EnergySplit(nbar, p=0.5, q=0.5)
     spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=mu, theta=np.pi / 2,
                            chi=np.pi / 2, tau_in=1.0)
-    ev = evolve_with_derivatives(make_probe(spec), ChannelParams(MID_FRINGE, eta, 1), 1.0)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(MID_FRINGE, eta), 1.0)
     xis = np.arange(0.0, np.pi, 0.01)
     pairs = [error_propagation(homodyne_moments(
         ev, DetectionScheme(SchemeKind.HOMODYNE, tau_out=1.0, xi=float(x)))) for x in xis]
@@ -235,10 +235,10 @@ def test_classical_cost_respects_quantum_bound():
                                theta1=theta1, theta2=0.0, chi=0.0, tau_in=split.tau_in())
         eta = float(rng.uniform(0.2, 0.8))
         state = make_probe(spec)
-        rep = gaussian_qfi(state, ChannelParams(MID_FRINGE, eta, 1), split.tau_in(),
-                           n_for_limits=split.n_total)
+        rep = gaussian_qfi(state, ChannelPoints(MID_FRINGE, eta), split.tau_in(),
+                           w=np.array(fundamental_limits(split.n_total, eta).weights()))
         lim = fundamental_limits(split.n_total, eta)
-        ev = evolve_with_derivatives(state, ChannelParams(MID_FRINGE, eta, 1), split.tau_in())
+        ev = evolve_with_derivatives(state, ChannelPoints(MID_FRINGE, eta), split.tau_in())
         for tau_out in (0.3, 0.5, 1.0):
             moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING,
                                                            tau_out=tau_out))

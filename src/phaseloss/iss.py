@@ -238,6 +238,12 @@ def _newton_step(p, j, g, v, q, c_phi, mu):
     return e, float(rhs @ e)
 
 
+def _max_step(e):
+    """Largest t <= 1 that keeps 1 - _TO_BOUNDARY of each population."""
+    shrink = e < 0.0
+    return min(1.0, _TO_BOUNDARY / -e[shrink].min()) if shrink.any() else 1.0
+
+
 def _line_search(p, state, e, lam2, mu, b, coef):
     """The accepted point along p (1 + t e), or None if no step qualifies.
 
@@ -248,8 +254,7 @@ def _line_search(p, state, e, lam2, mu, b, coef):
     if (g - j) @ (p * e) <= 0.0:
         return None                   # J is concave: it falls for every t > 0
     certified = _certified(g.max() - j, j)
-    shrink = e < 0.0
-    t = min(1.0, _TO_BOUNDARY / -e[shrink].min()) if shrink.any() else 1.0
+    t = _max_step(e)
     for _ in range(_BACKTRACKS):
         trial = p * (1.0 + t * e)
         trial /= trial.sum()
@@ -265,12 +270,33 @@ def _line_search(p, state, e, lam2, mu, b, coef):
     return None
 
 
+def _polish(p, state, e, b, coef):
+    """The longest step p (1 + t e) if it certifies an uncertified p and
+    keeps J within rounding of J(p), else None.
+
+    At _MU_STOP, J is flat to rounding and the barrier pulls on vanishing
+    populations: the step can close the gap while its J slope is slightly
+    negative and J(trial) rounds an ulp below J(p), so _line_search refuses
+    it.  A certified point lies within its gap of J*, so it may replace p.
+    """
+    j, g = state[0], state[1]
+    if _certified(g.max() - j, j):
+        return None
+    trial = p * (1.0 + _max_step(e) * e)
+    trial /= trial.sum()
+    out = _population_objective(trial, b, coef)
+    j_t, g_t = out[0], out[1]
+    if j_t >= j - _NOISE * max(1.0, abs(j)) and _certified(g_t.max() - j_t, j_t):
+        return trial, out
+    return None
+
+
 def _certified_two_mode(kraus: KrausFamily, weights, max_iters: int):
     """Maximize J over two-mode populations; returns (p, trace, gap, steps).
 
     Path following from the uniform populations; stops once mu is at
-    _MU_STOP with the gap certified, when no step there qualifies, or after
-    ``max_iters`` Newton steps.
+    _MU_STOP with the gap certified, when neither a line-search step nor the
+    polish step qualifies there, or after ``max_iters`` Newton steps.
     """
     eta = kraus.params.eta
     w_phi, w_eta = weights
@@ -292,14 +318,17 @@ def _certified_two_mode(kraus: KrausFamily, weights, max_iters: int):
         accepted = None
         if lam2 > _CENTERED * mu or mu <= mu_stop:
             accepted = _line_search(p, state, e, lam2, mu, b, coef)
-        if accepted is None:
-            if mu <= mu_stop:
+        if accepted is None and mu <= mu_stop:
+            accepted = _polish(p, state, e, b, coef)
+            if accepted is None:
                 break
+        if accepted is None:
             mu = max(mu * _MU_FACTOR, mu_stop)
             continue
         p, state = accepted
         # a step proven not to lower J (see _line_search) may still round
-        # it down by an ulp; the trace keeps the larger value
+        # it down by an ulp, and a polish step may lower it by rounding; the
+        # trace keeps the larger value
         trace.append(max(trace[-1], state[0]))
     return p, trace, float(state[1].max() - state[0]), steps
 

@@ -293,6 +293,16 @@ def test_two_mode_newton_steps_capped():
     assert res.gap > 1e-9
 
 
+@pytest.mark.parametrize("n, eta", [(7, 0.3959953969941573), (4, 0.33032846355905116)])
+def test_two_mode_certifies_where_barrier_steps_stall(n, eta):
+    # at the last barrier weight every line-search step here fails on J
+    # rounding while the gap is still about 2e-10; the polish step closes it
+    res = optimize(IssConfig(), ChannelParams(0.0, eta, n), Scenario.TWO)
+    assert res.converged
+    assert res.gap <= 1e-10 * res.objective_trace[-1]
+    assert np.all(np.diff(res.objective_trace) >= 0.0)
+
+
 def test_single_mode_gap_is_nan():
     res = optimize(IssConfig(max_iters=5), ChannelParams(0.0, 0.4, 4), Scenario.SINGLE)
     assert np.isnan(res.gap)

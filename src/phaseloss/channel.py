@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -275,24 +274,6 @@ def apply_channel_derivatives(probe: FockProbe, kraus: KrausFamily):
     return tuple(out)
 
 
-def _sector_eigenbasis(total: int):
-    """Eigenpairs of the real generator a1'a2 + a1 a2' on the sector with
-    ``total`` photons, returned read-only."""
-    k = np.arange(total)
-    coupling = np.sqrt((k + 1) * (total - k))
-    gen = np.zeros((total + 1, total + 1))
-    gen[k + 1, k] = coupling
-    gen[k, k + 1] = coupling
-    vals, vecs = np.linalg.eigh(gen)
-    vals.flags.writeable = vecs.flags.writeable = False
-    return vals, vecs
-
-
-# Sectors up to this total keep their eigenbasis (about 6 MB for all of them).
-_CACHED_TOTALS = 128
-_cached_sector_eigenbasis = lru_cache(maxsize=None)(_sector_eigenbasis)
-
-
 def beamsplitter_sector(total: int, tau: float, reflect_sign: float = -1.0) -> np.ndarray:
     """Beamsplitter unitary on the two-mode sector with ``total`` photons.
 
@@ -305,6 +286,11 @@ def beamsplitter_sector(total: int, tau: float, reflect_sign: float = -1.0) -> n
     if total == 0:
         return np.ones((1, 1), dtype=complex)
     theta = np.arccos(np.sqrt(tau))
-    basis = _cached_sector_eigenbasis if total <= _CACHED_TOTALS else _sector_eigenbasis
-    vals, vecs = basis(total)
+    # the generator a1'a2 + a1 a2' is real symmetric on this basis
+    k = np.arange(total)
+    coupling = np.sqrt((k + 1) * (total - k))
+    gen = np.zeros((total + 1, total + 1))
+    gen[k + 1, k] = coupling
+    gen[k, k + 1] = coupling
+    vals, vecs = np.linalg.eigh(gen)
     return (vecs * np.exp(reflect_sign * 1j * theta * vals)) @ vecs.T

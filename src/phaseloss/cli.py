@@ -237,9 +237,11 @@ def write_table(rows, header, args):
             writer.writerow([_fmt(row.get(col)) for col in header])
         text = buf.getvalue()
     else:
+        # --threads shapes no row, nor does measure's --restarts
+        unused = {"command", "threads"} | ({"restarts"} if args.command == "measure" else set())
         meta = {"version": __version__, "command": args.command, "seed": args.seed,
                 "config": {k: _json_value(v) for k, v in vars(args).items()
-                           if k not in ("command",) and v is not None}}
+                           if k not in unused and v is not None}}
         payload = {"meta": meta,
                    "rows": [{col: _json_value(row.get(col)) for col in header}
                             for row in rows]}

@@ -65,8 +65,8 @@ class IssConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.conv_window < 2 or self.conv_rel_tol <= 0:
-            raise InvalidInput("need conv_window >= 2 and conv_rel_tol > 0")
+        if self.conv_window < 2 or not 0 < self.conv_rel_tol < math.inf:
+            raise InvalidInput("need conv_window >= 2 and a finite conv_rel_tol > 0")
         if self.max_iters < 1 or self.restarts < 1:
             raise InvalidInput("max_iters and restarts must be positive")
 
@@ -122,6 +122,8 @@ def _resolve_weights(config: IssConfig, params: ChannelParams):
     w_eta = config.weight_eta if config.weight_eta is not None else lim.f_eta_max
     if w_phi <= 0 or w_eta <= 0:
         raise InvalidInput("weights must be positive (numpy.inf drops a parameter)")
+    if math.isinf(w_phi) and math.isinf(w_eta):
+        raise InvalidInput("at least one weight must be finite")
     return w_phi, w_eta
 
 

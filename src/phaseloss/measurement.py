@@ -25,7 +25,7 @@ from .errors import InvalidInput, Unsupported
 from .gaussian import (EnergySplit, EvolvedGaussian, GaussianState,
                        ProbeFamily, _matvec, evolve_with_derivatives, make_probe,
                        number_covariance, spec_from_split)
-from .qfi import _point
+from .qfi import _check_layout, _point
 
 _COV_RANK_TOL = 1e-12
 
@@ -96,20 +96,12 @@ def output_transform(scheme: DetectionScheme, state):
     if isinstance(state, BlockDensity):
         if state.scenario is Scenario.SINGLE:
             return state
-        return _rotate_sectors(scheme.tau_out, state)[0]
+        blocks = []
+        for m, b in enumerate(state.blocks):
+            u = beamsplitter_sector(state.n_max - m, scheme.tau_out)
+            blocks.append(u @ b @ u.conj().T)
+        return BlockDensity(Scenario.TWO, state.n_max, blocks)
     raise InvalidInput(f"cannot transform {type(state).__name__}")
-
-
-def _rotate_sectors(tau: float, *densities: BlockDensity) -> list:
-    """Two-mode block densities behind the detection splitter, each sector
-    unitary (block m, N - m photons) built once and applied to all of them."""
-    n_max = densities[0].n_max
-    rotated = [[] for _ in densities]
-    for m in range(n_max + 1):
-        u = beamsplitter_sector(n_max - m, tau)
-        for blocks, d in zip(rotated, densities):
-            blocks.append(u @ d.blocks[m] @ u.conj().T)
-    return [BlockDensity(Scenario.TWO, n_max, blocks) for blocks in rotated]
 
 
 _TO_PM = np.array([[1.0, 1.0], [1.0, -1.0]])     # (n1, n2) -> (sum, difference)
@@ -141,42 +133,46 @@ def _gaussian_number_moments(ev: EvolvedGaussian) -> MomentSet:
     )
 
 
-def _fock_number_moments(rho: BlockDensity, drho_phi: BlockDensity,
-                         drho_eta: BlockDensity) -> MomentSet:
-    """Sum/difference counting moments of a number-basis output.
+def _fock_counting_moments(tau: float, rho: BlockDensity, drho_phi: BlockDensity,
+                           drho_eta: BlockDensity) -> MomentSet:
+    """Sum/difference counting moments of a number-basis output and its
+    derivatives behind the detection splitter, read off block diagonals.
 
-    The observables are diagonal in every fixed-total-photon sector, so all
-    moments reduce to diagonal sums over the (rotated) blocks.
+    Single mode: S = D = n1, read from the diagonal.  Two mode, block m
+    (t = N - m photons, basis k = n1): S = t, and the splitter
+    exp(-2i theta Jx), cos(theta)^2 = tau, turns D = 2 Jz into
+    D' = cos 2theta D + sin 2theta Y with Y = 2 Jy, <k+1|Y|k> = -i c_k,
+    c_k = sqrt((k + 1)(t - k)).  Every trace of a Hermitian block against
+    D, Y, D^2, Y^2 (diagonal 2k(t - k) + t, second diagonal -c_k c_{k+1})
+    or DY + YD reads its main, first and second diagonals.
     """
-    acc = {"n1": 0.0, "n2": 0.0, "p1": 0.0, "p2": 0.0, "e1": 0.0, "e2": 0.0,
-           "n1n1": 0.0, "n2n2": 0.0, "n1n2": 0.0}
-    single = rho.scenario is Scenario.SINGLE
-    for m, (rb, pb, eb) in enumerate(zip(rho.blocks, drho_phi.blocks, drho_eta.blocks)):
-        dim = rb.shape[0]
-        n1 = np.arange(dim, dtype=float)
-        n2 = np.zeros(dim) if single else (rho.n_max - m) - n1
-        pr = np.diag(rb).real
-        pp = np.diag(pb).real
-        pe = np.diag(eb).real
-        acc["n1"] += float(n1 @ pr)
-        acc["n2"] += float(n2 @ pr)
-        acc["p1"] += float(n1 @ pp)
-        acc["p2"] += float(n2 @ pp)
-        acc["e1"] += float(n1 @ pe)
-        acc["e2"] += float(n2 @ pe)
-        acc["n1n1"] += float((n1 * n1) @ pr)
-        acc["n2n2"] += float((n2 * n2) @ pr)
-        acc["n1n2"] += float((n1 * n2) @ pr)
-    v11 = acc["n1n1"] - acc["n1"] ** 2
-    v22 = acc["n2n2"] - acc["n2"] ** 2
-    v12 = acc["n1n2"] - acc["n1"] * acc["n2"]
-    cov_n = np.array([[v11, v12], [v12, v22]])
-    return MomentSet(
-        means=_TO_PM @ np.array([acc["n1"], acc["n2"]]),
-        dphi=_TO_PM @ np.array([acc["p1"], acc["p2"]]),
-        deta=_TO_PM @ np.array([acc["e1"], acc["e2"]]),
-        cov=_TO_PM @ cov_n @ _TO_PM.T,
-    )
+    densities = (rho, drho_phi, drho_eta)
+    n_max = rho.n_max
+    if rho.scenario is Scenario.SINGLE:
+        k = np.arange(n_max + 1.0)
+        p = np.array([d.blocks[0].diagonal().real for d in densities])
+        n1 = p @ k
+        var = p[0] @ (k * k) - n1[0] ** 2
+        return MomentSet(means=np.full(2, n1[0]), dphi=np.full(2, n1[1]),
+                         deta=np.full(2, n1[2]), cov=np.full((2, 2), var))
+    cos2, sin2 = 2.0 * tau - 1.0, 2.0 * math.sqrt(tau * (1.0 - tau))
+    sums = np.zeros((3, 5))     # per density: <S>, <D'>, <S^2>, <S D'>, <D'^2>
+    for m, blocks in enumerate(zip(*(d.blocks for d in densities))):
+        t = n_max - m
+        k = np.arange(t + 1.0)
+        d = 2.0 * k - t
+        c = np.sqrt((k[:-1] + 1.0) * (t - k[:-1]))
+        for out, b in zip(sums, blocks):
+            p, y, w = b.diagonal().real, b.diagonal(1).imag, b.diagonal(2).real
+            tr = p.sum()
+            diff = cos2 * (d @ p) + 2.0 * sin2 * (c @ y)
+            diff2 = (cos2 ** 2 * ((d * d) @ p)
+                     + sin2 ** 2 * ((2.0 * k * (t - k) + t) @ p - 2.0 * ((c[:-1] * c[1:]) @ w))
+                     + 2.0 * cos2 * sin2 * (((d[:-1] + d[1:]) * c) @ y))
+            out += (t * tr, diff, t * t * tr, t * diff, diff2)
+    (s, dp, ss, sd, dd), dphi, deta = sums
+    return MomentSet(means=np.array([s, dp]), dphi=dphi[:2], deta=deta[:2],
+                     cov=np.array([[ss - s * s, sd - s * dp], [sd - s * dp, dd - dp * dp]]))
 
 
 def counting_moments(state, scheme: DetectionScheme,
@@ -185,18 +181,16 @@ def counting_moments(state, scheme: DetectionScheme,
     """Photon-number sum/difference moments behind the output splitter.
 
     ``state`` is either an EvolvedGaussian or a BlockDensity; the latter
-    needs the matching derivative densities, all of which are rotated by the
-    detection splitter internally, with one set of sector unitaries.
+    needs the matching derivative densities, in the state's layout, and is
+    read off three block diagonals with no sector unitary.
     """
     if isinstance(state, EvolvedGaussian):
         return _gaussian_number_moments(output_transform(scheme, state))
     if isinstance(state, BlockDensity):
         if drho_phi is None or drho_eta is None:
             raise InvalidInput("number-basis counting needs the derivative densities")
-        densities = (state, drho_phi, drho_eta)
-        if state.scenario is Scenario.TWO:
-            densities = _rotate_sectors(scheme.tau_out, *densities)
-        return _fock_number_moments(*densities)
+        _check_layout(state, drho_phi, drho_eta)
+        return _fock_counting_moments(scheme.tau_out, state, drho_phi, drho_eta)
     raise InvalidInput(f"cannot compute counting moments for {type(state).__name__}")
 
 

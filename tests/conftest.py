@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from phaseloss.channel import (ChannelParams, Scenario, apply_channel,
-                               apply_channel_derivatives, build_kraus)
+                               apply_channel_derivatives, beamsplitter_sector,
+                               build_kraus)
 from phaseloss.gaussian import fock_truncation, grid_channel_output, mix_modes
 from phaseloss.linalg import hermitian_eig, hermitianize
 
@@ -384,6 +385,31 @@ def counting_moments_oracle(evolved, tau_out):
                       [number_cov(0, 1), number_cov(1, 1)]])
     return (to_pm @ means_n, to_pm @ dn(dsig_phi, dd_phi), to_pm @ dn(dsig_eta, dd_eta),
             to_pm @ cov_n @ to_pm.T)
+
+
+def fock_counting_oracle(rho, drho_phi, drho_eta, tau_out):
+    """(means, dphi, deta, cov) of the detector sum and difference of a
+    number-basis output, by rotating every two-mode block with its dense
+    sector unitary and reading the rotated diagonals."""
+    single = rho.scenario is Scenario.SINGLE
+    sums = np.zeros((3, 2))          # <n1>, <n2> of rho, drho_phi, drho_eta
+    second = np.zeros((2, 2))        # <n_i n_j> of rho
+    for m, blocks in enumerate(zip(rho.blocks, drho_phi.blocks, drho_eta.blocks)):
+        dim = blocks[0].shape[0]
+        n1 = np.arange(dim, dtype=float)
+        n2 = np.zeros(dim) if single else (rho.n_max - m) - n1
+        if not single:
+            u = beamsplitter_sector(rho.n_max - m, tau_out)
+            blocks = [u @ b @ u.conj().T for b in blocks]
+        for out, b in zip(sums, blocks):
+            pops = np.diag(b).real
+            out += (n1 @ pops, n2 @ pops)
+        pops = np.diag(blocks[0]).real
+        second += np.array([[(n1 * n1) @ pops, (n1 * n2) @ pops],
+                            [(n1 * n2) @ pops, (n2 * n2) @ pops]])
+    to_pm = np.array([[1.0, 1.0], [1.0, -1.0]])
+    cov_n = second - np.outer(sums[0], sums[0])
+    return (to_pm @ sums[0], to_pm @ sums[1], to_pm @ sums[2], to_pm @ cov_n @ to_pm.T)
 
 
 def homodyne_moments_oracle(evolved, tau_out, xi):

@@ -2,7 +2,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import phaseloss.channel
 from conftest import dense, finite_diff_output, kraus_matrix, kraus_sum_output
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
@@ -230,16 +229,6 @@ def test_beamsplitter_sector_matches_complex_generator(total):
         u = beamsplitter_sector(total, tau, reflect_sign=sign)
         np.testing.assert_allclose(u, ref, atol=1e-12)
     assert beamsplitter_sector(total, 0.3).flags.writeable     # a fresh array, not the cache
-
-
-def test_sector_eigenbasis_cache_is_bounded():
-    cache = phaseloss.channel._cached_sector_eigenbasis
-    cache.cache_clear()
-    top = phaseloss.channel._CACHED_TOTALS
-    for total in (3, top, top + 1, top + 40, 3):
-        beamsplitter_sector(total, 0.5)
-    assert cache.cache_info().currsize == 2
-    assert cache.cache_info().hits == 1
 
 
 def test_beamsplitter_balanced_single_photon():

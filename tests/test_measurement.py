@@ -5,10 +5,12 @@ import pytest
 
 import phaseloss.channel
 import phaseloss.measurement
+from conftest import fock_counting_oracle
 from phaseloss.bounds import fundamental_limits
-from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario,
-                               apply_channel, apply_channel_derivatives, build_kraus)
-from phaseloss.errors import Unsupported
+from phaseloss.channel import (BlockDensity, ChannelParams, ChannelPoints, FockProbe,
+                               Scenario, apply_channel, apply_channel_derivatives,
+                               build_kraus)
+from phaseloss.errors import InvalidInput, Unsupported
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily,
                                 evolve_with_derivatives, make_probe,
                                 spec_from_split)
@@ -77,40 +79,54 @@ def test_fock_counting_variance():
     assert var_eta == pytest.approx(1 / fundamental_limits(n, eta).f_eta_max, rel=1e-10)
 
 
-def test_sector_unitaries_per_counting_call(monkeypatch):
-    # one detection-splitter unitary per block, shared by rho and both derivatives
-    totals = []
-    sector = phaseloss.measurement.beamsplitter_sector
+def test_fock_counting_builds_no_sector_unitary(monkeypatch):
+    # the number-basis readout reads block diagonals: no unitary, no eigh
+    def forbidden(*args, **kwargs):
+        raise AssertionError("number-basis counting must not rotate or diagonalize")
 
-    def counting_sector(total, *args, **kwargs):
-        totals.append(total)
-        return sector(total, *args, **kwargs)
-
-    monkeypatch.setattr(phaseloss.measurement, "beamsplitter_sector", counting_sector)
     n = 7
     probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(12))
     rho, dphi, deta = fock_output(probe, ChannelParams(0.4, 0.6, n))
-    counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=0.4), dphi, deta)
-    assert totals == [n - m for m in range(n + 1)]
-
-
-def test_sector_eigenbasis_once_per_total(monkeypatch):
-    # repeated readouts reuse each sector's eigenbasis: one eigh per total
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    phaseloss.channel._cached_sector_eigenbasis.cache_clear()
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    n = 6
-    probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(3))
-    rho, dphi, deta = fock_output(probe, ChannelParams(0.4, 0.6, n))
-    for tau in (0.25, 0.5, 0.25, 1.0):
+    monkeypatch.setattr(phaseloss.measurement, "beamsplitter_sector", forbidden)
+    monkeypatch.setattr(phaseloss.channel, "beamsplitter_sector", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    for tau in (0.0, 0.4, 1.0):
         counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=tau), dphi, deta)
-    assert sorted(calls) == [(t + 1, t + 1) for t in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("scenario, n", [(Scenario.TWO, 1), (Scenario.TWO, 2),
+                                         (Scenario.TWO, 7), (Scenario.TWO, 30),
+                                         (Scenario.TWO, 100), (Scenario.SINGLE, 12)])
+def test_fock_counting_matches_sector_rotation_oracle(scenario, n):
+    rng = np.random.default_rng(n)
+    probe = FockProbe.random(scenario, n, rng)
+    params = ChannelParams(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0.1, 0.9)), n)
+    rho, dphi, deta = fock_output(probe, params)
+    for tau in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
+        moments = counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=tau),
+                                   dphi, deta)
+        oracle = fock_counting_oracle(rho, dphi, deta, tau)
+        for got, want in zip((moments.means, moments.dphi, moments.deta, moments.cov),
+                             oracle):
+            scale = max(float(np.abs(want).max()), 1.0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_fock_counting_rejects_mismatched_derivatives():
+    scheme = DetectionScheme(SchemeKind.COUNTING, tau_out=0.5)
+    rng = np.random.default_rng(4)
+    rho, _, _ = fock_output(FockProbe.random(Scenario.TWO, 5, rng), ChannelParams(0.2, 0.6, 5))
+    _, dphi3, deta3 = fock_output(FockProbe.random(Scenario.TWO, 3, rng),
+                                  ChannelParams(0.2, 0.6, 3))
+    _, dphi1, deta1 = fock_output(FockProbe.random(Scenario.SINGLE, 5, rng),
+                                  ChannelParams(0.2, 0.6, 5))
+    _, dphi5, deta5 = fock_output(FockProbe.random(Scenario.TWO, 5, rng),
+                                  ChannelParams(0.2, 0.6, 5))
+    reshaped = BlockDensity(Scenario.TWO, 5, [b[:-1, :-1] for b in dphi5.blocks[:-1]]
+                            + [dphi5.blocks[-1]])
+    for dphi, deta in ((dphi3, deta3), (dphi1, deta1), (dphi5, deta3), (reshaped, deta5)):
+        with pytest.raises(InvalidInput):
+            counting_moments(rho, scheme, dphi, deta)
 
 
 def test_two_mode_squeezed_counting_loss_variance():

@@ -79,19 +79,44 @@ def test_fock_counting_variance():
     assert var_eta == pytest.approx(1 / fundamental_limits(n, eta).f_eta_max, rel=1e-10)
 
 
-def test_fock_counting_builds_no_sector_unitary(monkeypatch):
-    # the number-basis readout reads block diagonals: no unitary, no eigh
-    def forbidden(*args, **kwargs):
-        raise AssertionError("number-basis counting must not rotate or diagonalize")
+def test_sector_unitaries_per_counting_call(monkeypatch):
+    # number-basis counting reads block diagonals and builds no sector unitary;
+    # the full output transform still builds one per block
+    totals = []
+    sector = phaseloss.measurement.beamsplitter_sector
 
+    def counting_sector(total, *args, **kwargs):
+        totals.append(total)
+        return sector(total, *args, **kwargs)
+
+    monkeypatch.setattr(phaseloss.measurement, "beamsplitter_sector", counting_sector)
+    monkeypatch.setattr(phaseloss.channel, "beamsplitter_sector", counting_sector)
     n = 7
     probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(12))
     rho, dphi, deta = fock_output(probe, ChannelParams(0.4, 0.6, n))
-    monkeypatch.setattr(phaseloss.measurement, "beamsplitter_sector", forbidden)
-    monkeypatch.setattr(phaseloss.channel, "beamsplitter_sector", forbidden)
-    monkeypatch.setattr(np.linalg, "eigh", forbidden)
     for tau in (0.0, 0.4, 1.0):
         counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=tau), dphi, deta)
+    assert totals == []
+    output_transform(DetectionScheme(SchemeKind.COUNTING, tau_out=0.4), rho)
+    assert totals == [n - m for m in range(n + 1)]
+
+
+def test_sector_eigenbasis_once_per_total(monkeypatch):
+    # repeated readouts diagonalize no sector generator at all
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    n = 6
+    probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(3))
+    rho, dphi, deta = fock_output(probe, ChannelParams(0.4, 0.6, n))
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for tau in (0.25, 0.5, 0.25, 1.0):
+        counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=tau), dphi, deta)
+    assert calls == []
 
 
 @pytest.mark.parametrize("scenario, n", [(Scenario.TWO, 1), (Scenario.TWO, 2),

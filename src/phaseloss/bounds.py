@@ -95,15 +95,11 @@ def loss_kraus_term(eta: float) -> float:
 def probe_incomp_bound(mean_n: float, var_n: float, n_budget: float, eta: float) -> float:
     """Moment-based cap on the normalized information sum of any probe.
 
-    Equals (1/2)(<n>/N)(1/(1 + (<n>/Var n)(eta/(1-eta))) + 1); reaching 1
+    Equals (1/2)(<n>/N)(1/(1 + (<n>/Var n)(eta/(1-eta))) + 1), the phase
+    term being phase_qnd_bound over its Var n -> inf value; reaching 1
     requires <n> -> N together with super-Poissonian number statistics.
     """
     if not (0.0 < mean_n <= n_budget):
         raise InvalidInput("need 0 < mean_n <= n_budget")
-    if var_n <= 0.0:
-        phase_part = 0.0
-    elif math.isinf(var_n):
-        phase_part = 1.0
-    else:
-        phase_part = 1.0 / (1.0 + (mean_n / var_n) * eta / (1.0 - eta))
+    phase_part = phase_qnd_bound(mean_n, var_n, eta)[0] * (1.0 - eta) / (4.0 * eta * mean_n)
     return 0.5 * (mean_n / n_budget) * (phase_part + 1.0)

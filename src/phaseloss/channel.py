@@ -274,12 +274,12 @@ def apply_channel_derivatives(probe: FockProbe, kraus: KrausFamily):
     return tuple(out)
 
 
-def beamsplitter_sector(total: int, tau: float, reflect_sign: float = -1.0) -> np.ndarray:
+def beamsplitter_sector(total: int, tau: float) -> np.ndarray:
     """Beamsplitter unitary on the two-mode sector with ``total`` photons.
 
     Basis |k, total-k> for k = 0..total.  The transmitted amplitude is
-    sqrt(tau) and the reflected one ``reflect_sign * i * sqrt(1-tau)``:
-    the detection-side splitter uses -i, the preparation-side one +i.
+    sqrt(tau) and the reflected one -i sqrt(1-tau), the detection-side
+    convention; the preparation-side splitter (+i) is its complex conjugate.
     """
     if not (0.0 <= tau <= 1.0):
         raise InvalidInput("tau must lie in [0, 1]")
@@ -293,4 +293,4 @@ def beamsplitter_sector(total: int, tau: float, reflect_sign: float = -1.0) -> n
     gen[k + 1, k] = coupling
     gen[k, k + 1] = coupling
     vals, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(reflect_sign * 1j * theta * vals)) @ vecs.T
+    return (vecs * np.exp(-1j * theta * vals)) @ vecs.T

@@ -33,8 +33,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# counting fringes are read at the half-fringe point where the difference
-# signal slope is maximal
+# counting fringes are read where the difference-signal slope is maximal:
+# mid-fringe for Gaussian probes, and phi = 0 for number probes, whose real
+# amplitudes give a slope that goes as cos(phi)
 OPERATING_PHI = math.pi / 2.0
 
 
@@ -459,7 +460,7 @@ def _measure_fock(args, kind, points):
                         "r_scheme": None, "r_h_bar": None, "status": "unsupported"})
             continue
         if (n, eta) not in fock_outputs:
-            params = ChannelParams(OPERATING_PHI, eta, n)
+            params = ChannelParams(0.0, eta, n)
             result = optimize(IssConfig(), params, Scenario.TWO)
             kraus = build_kraus(params, Scenario.TWO)
             fock_outputs[(n, eta)] = (apply_channel(result.probe, kraus),

@@ -34,6 +34,7 @@ _OMEGA_DIAG = np.diag(OMEGA)
 _OMEGA_KRON = np.kron(OMEGA, OMEGA)
 _PHYS_TOL = 1e-9
 _PINV_TOL = 1e-10
+_NORM_TOL = 1e-10     # norm a number-basis truncation may lose
 # points per pass of the information-matrix solve: its 16 x 16 Kronecker
 # systems and their SVDs take about 16 kB a point, so a fixed chunk keeps
 # the memory of a sweep flat however many points it has
@@ -156,12 +157,10 @@ class EnergySplit:
 
 def spec_from_split(family: ProbeFamily, split: EnergySplit, mu: float = 0.0,
                     theta: float = 0.0, theta1: float = 0.0, theta2: float = 0.0,
-                    chi: float = 0.0, tau_in: float = None) -> GaussianProbeSpec:
+                    chi: float = 0.0, tau_in: float = 1.0) -> GaussianProbeSpec:
     """Probe spec realizing an energy split; r is solved from the photon count."""
     per_squeezer = split.n_r if family is ProbeFamily.SINGLE_MODE else split.n_r / 2.0
     r = math.asinh(math.sqrt(per_squeezer))
-    if tau_in is None:
-        tau_in = 1.0
     return GaussianProbeSpec(family=family, alpha=math.sqrt(split.n_alpha), mu=mu,
                              r=r, theta=theta, theta1=theta1, theta2=theta2,
                              chi=chi, tau_in=tau_in)
@@ -187,15 +186,8 @@ def _spec_fields(spec) -> dict:
     return fields
 
 
-def squeezing_block(spec) -> np.ndarray:
-    """Symmetric 2x2 phase matrix of the squeezing correlations.
-
-    ``spec`` is one GaussianProbeSpec, or a sequence giving a (P, 2, 2) stack.
-    """
-    return _squeezing_block(_spec_fields(spec))
-
-
 def _squeezing_block(fields: dict) -> np.ndarray:
+    """Symmetric 2x2 phase matrix of the squeezing correlations, per point."""
     single, chi = fields["single"], fields["chi"]
     # a single-mode probe squeezes the sensing mode alone: chi = 0, no theta2 term
     cos_chi = np.where(single, 1.0, np.cos(chi))
@@ -324,12 +316,12 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _solve_psd(mat: np.ndarray, rhs, pinv_tol: float = _PINV_TOL):
+def _solve_psd(mat: np.ndarray, rhs):
     """Solve mat x = b over a (P, n, n) stack for each (P, n) stack b in ``rhs``,
     falling back to a pseudo-inverse on rank deficiency.
 
     One SVD per point gives the condition number and, where it exceeds
-    1/pinv_tol, the pseudo-inverse (built as numpy.linalg.pinv builds it);
+    1/_PINV_TOL, the pseudo-inverse (built as numpy.linalg.pinv builds it);
     the other points take an LU solve.  Each right-hand side is solved as a
     matrix-vector problem of its own, so that every point gets the bits a
     single-point solve gives: rounding noise that an ill-conditioned point
@@ -340,12 +332,12 @@ def _solve_psd(mat: np.ndarray, rhs, pinv_tol: float = _PINV_TOL):
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[:, 0] / s[:, -1]
     cond[np.isnan(cond)] = np.inf
-    pinv = ~(cond <= 1.0 / pinv_tol)
+    pinv = ~(cond <= 1.0 / _PINV_TOL)
     sols = [np.empty(b.shape, dtype=complex) for b in rhs]
     if pinv.any():
         on = _points(pinv)
         s_p = s[on]
-        large = s_p > pinv_tol * s_p[:, :1]
+        large = s_p > _PINV_TOL * s_p[:, :1]
         inv_s = np.divide(1.0, s_p, where=large, out=np.zeros_like(s_p))
         pinv_mat = vt[on].swapaxes(-1, -2) @ (inv_s[..., None] * u[on].swapaxes(-1, -2))
         for b, x in zip(rhs, sols):
@@ -592,12 +584,13 @@ def _squeezed_vacuum_grid(t_mat: np.ndarray, c1: int, c2: int) -> np.ndarray:
     return grid
 
 
-def mix_modes(grid: np.ndarray, tau: float, trim_tol: float = 2.5e-11) -> np.ndarray:
+def mix_modes(grid: np.ndarray, tau: float) -> np.ndarray:
     """Apply the input beamsplitter to a two-mode amplitude grid, sector by sector.
 
     The grid is first padded so that every occupied total-photon sector is
     complete, which makes the rotation exact; the result is trimmed back to
-    the smallest per-mode cutoffs keeping 1 - trim_tol of the mass.
+    the smallest per-mode cutoffs keeping 1 - 2.5e-11 of the mass.  The
+    input splitter reflects with +i, the conjugate of ``beamsplitter_sector``.
     """
     if tau == 1.0:
         return grid.copy()
@@ -606,10 +599,10 @@ def mix_modes(grid: np.ndarray, tau: float, trim_tol: float = 2.5e-11) -> np.nda
     padded[:grid.shape[0], :grid.shape[1]] = grid
     out = padded.copy()
     for total in range(1, side):
-        u_sec = beamsplitter_sector(total, tau, reflect_sign=+1.0)
+        u_sec = beamsplitter_sector(total, tau).conj()
         k = np.arange(total + 1)
         out[k, total - k] = u_sec @ padded[k, total - k]
-    return _trim_grid(out, trim_tol)
+    return _trim_grid(out, 2.5e-11)
 
 
 def _trim_grid(grid: np.ndarray, tol: float) -> np.ndarray:
@@ -624,12 +617,11 @@ def _trim_grid(grid: np.ndarray, tol: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def fock_truncation(spec: GaussianProbeSpec, cutoff: int = None,
-                    norm_tol: float = 1e-10) -> np.ndarray:
+def fock_truncation(spec: GaussianProbeSpec, cutoff: int = None) -> np.ndarray:
     """Amplitude grid of the probe on the truncated two-mode number basis.
 
     With ``cutoff=None`` the cutoff grows (from 40, doubling) until the
-    truncation keeps at least 1 - norm_tol of the exact norm; a pinned cutoff
+    truncation keeps at least 1 - 1e-10 of the exact norm; a pinned cutoff
     raises InvalidState if that mass cannot be reached.  The grid is trimmed
     afterwards to the smallest per-mode cutoffs preserving the same mass.
     """
@@ -637,14 +629,14 @@ def fock_truncation(spec: GaussianProbeSpec, cutoff: int = None,
     err = None
     for cut in candidates:
         try:
-            return _fock_truncation_at(spec, cut, norm_tol)
+            return _fock_truncation_at(spec, cut)
         except InvalidState as exc:
             err = exc
     raise err
 
 
-def _fock_truncation_at(spec: GaussianProbeSpec, cutoff: int, norm_tol: float) -> np.ndarray:
-    t_mat = -math.tanh(spec.r) * squeezing_block(spec)
+def _fock_truncation_at(spec: GaussianProbeSpec, cutoff: int) -> np.ndarray:
+    t_mat = -math.tanh(spec.r) * _squeezing_block(_spec_fields(spec))
     c2 = cutoff if (spec.family is ProbeFamily.TWO_MODE or spec.tau_in < 1.0) else 0
     grid = _squeezed_vacuum_grid(t_mat, cutoff, c2)
     if spec.family is ProbeFamily.SINGLE_MODE:
@@ -652,17 +644,17 @@ def _fock_truncation_at(spec: GaussianProbeSpec, cutoff: int, norm_tol: float) -
     else:
         exact_norm2 = math.cosh(spec.r) ** 2
     kept = float(np.sum(np.abs(grid) ** 2)) / exact_norm2
-    if kept < 1.0 - norm_tol:
+    if kept < 1.0 - _NORM_TOL:
         raise InvalidState(f"cutoff {cutoff} keeps only |psi|^2 = {kept} of the squeezing")
     grid = grid / np.linalg.norm(grid)
     if spec.alpha > 0.0:
         disp = _displacement_matrix(spec.alpha * np.exp(1j * spec.mu), grid.shape[0] - 1)
         grid = disp @ grid
         edge = float(np.sum(np.abs(grid[-2:, :]) ** 2))
-        if edge > norm_tol * 100.0 + 1e-12:
+        if edge > _NORM_TOL * 100.0 + 1e-12:
             raise InvalidState(f"displaced state reaches the cutoff: edge mass {edge}")
         grid = grid / np.linalg.norm(grid)
-    return _trim_grid(grid, norm_tol / 4.0)
+    return _trim_grid(grid, _NORM_TOL / 4.0)
 
 
 def grid_channel_output(grid: np.ndarray, params: ChannelPoints):

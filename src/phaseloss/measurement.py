@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import BlockDensity, ChannelPoints, Scenario, beamsplitter_sector
+from .channel import BlockDensity, ChannelPoints, Scenario
 from .errors import InvalidInput, Unsupported
 from .gaussian import (EnergySplit, EvolvedGaussian, GaussianState,
                        ProbeFamily, _matvec, evolve_with_derivatives, make_probe,
@@ -73,35 +73,26 @@ def _splitter_4x4(tau) -> np.ndarray:
 
 
 def output_transform(scheme: DetectionScheme, state):
-    """Mix the output modes on the detection beamsplitter.
+    """Mix the output modes of a Gaussian state (with or without derivatives)
+    on the detection beamsplitter, by the symplectic splitter matrix.
 
-    Gaussian outputs (with or without derivatives) transform by the
-    symplectic splitter matrix; two-mode number-basis blocks rotate inside
-    their fixed-total-photon sectors.  The single-mode layout has no second
-    mode to mix and passes through unchanged.
+    Number-basis outputs are read behind the splitter by ``counting_moments``
+    and are never rotated.
     """
-    if isinstance(state, (EvolvedGaussian, GaussianState)):
-        b4 = _splitter_4x4(scheme.tau_out)
-        b4_h = b4.conj().swapaxes(-1, -2)
-        if isinstance(state, GaussianState):
-            return GaussianState(b4 @ state.sigma @ b4_h, _matvec(b4, state.d))
-        return EvolvedGaussian(
-            sigma=b4 @ state.sigma @ b4_h,
-            d=_matvec(b4, state.d),
-            dsigma_phi=b4 @ state.dsigma_phi @ b4_h,
-            dsigma_eta=b4 @ state.dsigma_eta @ b4_h,
-            dd_phi=_matvec(b4, state.dd_phi),
-            dd_eta=_matvec(b4, state.dd_eta),
-        )
-    if isinstance(state, BlockDensity):
-        if state.scenario is Scenario.SINGLE:
-            return state
-        blocks = []
-        for m, b in enumerate(state.blocks):
-            u = beamsplitter_sector(state.n_max - m, scheme.tau_out)
-            blocks.append(u @ b @ u.conj().T)
-        return BlockDensity(Scenario.TWO, state.n_max, blocks)
-    raise InvalidInput(f"cannot transform {type(state).__name__}")
+    if not isinstance(state, (EvolvedGaussian, GaussianState)):
+        raise InvalidInput(f"cannot transform {type(state).__name__}")
+    b4 = _splitter_4x4(scheme.tau_out)
+    b4_h = b4.conj().swapaxes(-1, -2)
+    if isinstance(state, GaussianState):
+        return GaussianState(b4 @ state.sigma @ b4_h, _matvec(b4, state.d))
+    return EvolvedGaussian(
+        sigma=b4 @ state.sigma @ b4_h,
+        d=_matvec(b4, state.d),
+        dsigma_phi=b4 @ state.dsigma_phi @ b4_h,
+        dsigma_eta=b4 @ state.dsigma_eta @ b4_h,
+        dd_phi=_matvec(b4, state.dd_phi),
+        dd_eta=_matvec(b4, state.dd_eta),
+    )
 
 
 _TO_PM = np.array([[1.0, 1.0], [1.0, -1.0]])     # (n1, n2) -> (sum, difference)
@@ -244,25 +235,24 @@ def error_propagation(moments: MomentSet):
     return out[0], out[1]
 
 
-def half_photon_counting(n_total: float, eta: float, p: float = 0.5,
-                         q: float = 0.5, chi: float = 0.0, mu: float = 0.0,
-                         phi_op: float = math.pi / 2.0):
+def half_photon_counting(n_total: float, eta: float, chi: float = 0.0):
     """Counting variances of the split strategy: half the energy in a
     phase-friendly sub-experiment read at tau_out = 1/2, half in a
     loss-friendly one read at tau_out = 1.
 
-    Each sub-experiment carries n_total/2 photons and serves one parameter
-    only, so its variance is doubled in the cost accounting.  Returns
-    (var_phi, var_eta).
+    Each sub-experiment carries n_total/2 photons (split exponents
+    p = q = 1/2, displacement along mu = 0), is read at the mid-fringe point
+    phi = pi/2 and serves one parameter only, so its variance is doubled in
+    the cost accounting.  Returns (var_phi, var_eta).
     """
-    split = EnergySplit(n_total / 2.0, p=p, q=q)
+    split = EnergySplit(n_total / 2.0, p=0.5, q=0.5)
     tau_in = split.tau_in()    # counting needs some reference light in both arms
     out = []
-    for theta1, tau_out, pick in ((mu * 2 + math.pi, 0.5, 0), (mu * 2, 1.0, 1)):
-        theta = (theta1 + mu * 2 - math.pi) / 2.0
-        spec = spec_from_split(ProbeFamily.TWO_MODE, split, mu=mu, theta=theta,
-                               theta1=theta1, theta2=mu * 2, chi=chi, tau_in=tau_in)
-        ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(phi_op, eta), tau_in)
+    for theta1, tau_out, pick in ((math.pi, 0.5, 0), (0.0, 1.0, 1)):
+        spec = spec_from_split(ProbeFamily.TWO_MODE, split, theta=(theta1 - math.pi) / 2.0,
+                               theta1=theta1, chi=chi, tau_in=tau_in)
+        ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(math.pi / 2.0, eta),
+                                     tau_in)
         moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING,
                                                        tau_out=tau_out))
         out.append(2.0 * error_propagation(moments)[pick])

@@ -154,13 +154,11 @@ def _scalar_bounds(f: np.ndarray, w: np.ndarray, i_phieta=None):
     c_s = _point(np.einsum("...ij,...ji->...", w, f_inv))
     if i_phieta is None:
         return c_s, None
-    i_pe = np.asarray(i_phieta, dtype=complex)
-    i_mat = np.zeros(i_pe.shape + (2, 2), dtype=complex)
-    i_mat[..., 0, 1] = i_pe
-    i_mat[..., 1, 0] = -i_pe
-    w_half = _sqrtm_psd(w)
-    sandwich = w_half @ f_inv @ i_mat @ f_inv @ w_half
-    return c_s, c_s + _point(np.linalg.svd(sandwich, compute_uv=False)[..., 0])
+    if np.linalg.eigvalsh(w).min() < -1e-12:
+        raise InvalidInput("weight matrix must be positive semidefinite")
+    penalty = (np.abs(i_phieta) * np.sqrt(np.maximum(np.linalg.det(w), 0.0))
+               * np.abs(np.linalg.det(f_inv)))
+    return c_s, c_s + _point(penalty)
 
 
 def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
@@ -172,20 +170,15 @@ def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
     return _scalar_bounds(f, w)[0]
 
 
-def _sqrtm_psd(w: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(np.asarray(w, dtype=float))
-    if vals.min() < -1e-12:
-        raise InvalidInput("weight matrix must be positive semidefinite")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.swapaxes(-1, -2)
-
-
 def hcrb_upper(f: np.ndarray, i_phieta: complex, w: np.ndarray) -> float:
     """Upper bound on the attainable weighted cost: C_S plus a commutator penalty.
 
     The penalty is the largest singular value of sqrt(W) F^-1 I F^-1 sqrt(W)
-    with the antisymmetric imaginary matrix I built from the SLD-commutator
-    expectation; it vanishes exactly when i_phieta does, and never exceeds
-    C_S, so C_S <= result <= 2 C_S.  Pointwise over stacks (..., 2, 2).
+    with the antisymmetric matrix I built from the SLD-commutator
+    expectation.  For two parameters that sandwich is det(sqrt(W) F^-1) I,
+    so the penalty is |i_phieta| sqrt(det W) / det F; it vanishes exactly
+    when i_phieta does, and never exceeds C_S, so C_S <= result <= 2 C_S.
+    Pointwise over stacks (..., 2, 2).
     """
     return _scalar_bounds(f, w, i_phieta)[1]
 

@@ -195,6 +195,22 @@ def dense_qfi(rho, drho_phi, drho_eta, rank_tol=1e-12):
     return f, 1j * t.imag
 
 
+def hcrb_upper_oracle(f, i_phieta, w):
+    """C_S plus the largest singular value of sqrt(W) F^-1 I F^-1 sqrt(W),
+    I = [[0, i_phieta], [-i_phieta, 0]], by a matrix square root and an SVD;
+    pointwise over stacks (..., 2, 2)."""
+    f_inv = np.linalg.inv(np.asarray(f, dtype=float))
+    vals, vecs = np.linalg.eigh(np.asarray(w, dtype=float))
+    w_half = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.swapaxes(-1, -2)
+    i_pe = np.asarray(i_phieta, dtype=complex)
+    i_mat = np.zeros(i_pe.shape + (2, 2), dtype=complex)
+    i_mat[..., 0, 1] = i_pe
+    i_mat[..., 1, 0] = -i_pe
+    sandwich = w_half @ f_inv @ i_mat @ f_inv @ w_half
+    c_s = np.einsum("...ij,...ji->...", np.asarray(w, dtype=float), f_inv)
+    return c_s + np.linalg.svd(sandwich, compute_uv=False)[..., 0]
+
+
 def grid_channel_output_oracle(grid, params):
     """Phase+loss on grid mode 1 by the loop over lost-photon counts m.
 

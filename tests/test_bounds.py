@@ -84,6 +84,12 @@ def test_probe_bound_extremes():
         probe_incomp_bound(11.0, 1.0, 10.0, eta)
 
 
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1.5, -0.2])
+def test_probe_bound_rejects_degenerate_channel(eta):
+    with pytest.raises(DegenerateChannel):
+        probe_incomp_bound(5.0, 2.0, 10.0, eta)
+
+
 def test_witness_moments_drive_bound_to_one():
     exponent = 0.7
     previous = 0.0

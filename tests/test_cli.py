@@ -146,6 +146,22 @@ def test_measure_counting_fock_probe():
     assert float(rows[1]["var_eta_fmax"]) <= float(rows[0]["var_eta_fmax"])
 
 
+def test_measure_counting_fock_probe_carries_phase_signal():
+    # the optimized number probe has real amplitudes, so its difference
+    # signal has a phase slope only away from phi = pi/2
+    code, out, _ = run_cli(["measure", "--n", "10", "--eta", "0.1", "--scheme", "counting",
+                            "--probe", "fock", "--tau-out", "0,0.25,0.5,1"])
+    assert code == 0
+    rows = read_csv(out)
+    assert [r["var_phi_fmax"] for r in (rows[0], rows[3])] == ["inf", "inf"]
+    assert [float(r["r_scheme"]) for r in (rows[0], rows[3])] == [1.0, 1.0]
+    np.testing.assert_allclose([float(r["var_phi_fmax"]) for r in rows[1:3]],
+                               [3.59939635332, 2.22955836328], rtol=1e-4)
+    np.testing.assert_allclose([float(r["r_scheme"]) for r in rows[1:3]],
+                               [0.483298281769, 0.527924207767], rtol=1e-4)
+    assert len({r["r_h_bar"] for r in rows}) == 1
+
+
 def test_json_format_envelope():
     code, out, _ = run_cli(["bounds", "--n", "10", "--eta", "0.5",
                             "--format", "json", "--seed", "3"])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import phaseloss.channel
-import phaseloss.measurement
 from conftest import fock_counting_oracle
 from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (BlockDensity, ChannelParams, ChannelPoints, FockProbe,
@@ -36,23 +35,12 @@ def test_output_transform_identity():
     np.testing.assert_allclose(out.d, ev.d, atol=1e-14)
 
 
-def test_output_transform_balanced_single_photon_block():
-    probe = FockProbe.fock(Scenario.TWO, 1, 1)
-    params = ChannelParams(0.0, 0.9, 1)
-    rho, _, _ = fock_output(probe, params)
-    mixed = output_transform(DetectionScheme(SchemeKind.COUNTING, tau_out=0.5), rho)
-    # the surviving-photon block (one photon total) splits evenly
-    populations = np.diag(mixed.blocks[0]).real
-    np.testing.assert_allclose(populations / populations.sum(), [0.5, 0.5], atol=1e-12)
-
-
-def test_output_transform_preserves_block_traces():
-    rng = np.random.default_rng(0)
-    probe = FockProbe.random(Scenario.TWO, 5, rng)
-    rho, _, _ = fock_output(probe, ChannelParams(0.4, 0.5, 5))
-    mixed = output_transform(DetectionScheme(SchemeKind.COUNTING, tau_out=0.23), rho)
-    for before, after in zip(rho.blocks, mixed.blocks):
-        assert np.trace(after).real == pytest.approx(np.trace(before).real, abs=1e-12)
+def test_output_transform_rejects_number_basis_blocks():
+    scheme = DetectionScheme(SchemeKind.COUNTING, tau_out=0.5)
+    for scenario in (Scenario.TWO, Scenario.SINGLE):
+        rho, _, _ = fock_output(FockProbe.fock(scenario, 1, 1), ChannelParams(0.0, 0.9, 1))
+        with pytest.raises(InvalidInput):
+            output_transform(scheme, rho)
 
 
 def test_coherent_counting_statistics():
@@ -80,16 +68,14 @@ def test_fock_counting_variance():
 
 
 def test_sector_unitaries_per_counting_call(monkeypatch):
-    # number-basis counting reads block diagonals and builds no sector unitary;
-    # the full output transform still builds one per block
+    # number-basis counting reads block diagonals and builds no sector unitary
     totals = []
-    sector = phaseloss.measurement.beamsplitter_sector
+    sector = phaseloss.channel.beamsplitter_sector
 
     def counting_sector(total, *args, **kwargs):
         totals.append(total)
         return sector(total, *args, **kwargs)
 
-    monkeypatch.setattr(phaseloss.measurement, "beamsplitter_sector", counting_sector)
     monkeypatch.setattr(phaseloss.channel, "beamsplitter_sector", counting_sector)
     n = 7
     probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(12))
@@ -97,8 +83,6 @@ def test_sector_unitaries_per_counting_call(monkeypatch):
     for tau in (0.0, 0.4, 1.0):
         counting_moments(rho, DetectionScheme(SchemeKind.COUNTING, tau_out=tau), dphi, deta)
     assert totals == []
-    output_transform(DetectionScheme(SchemeKind.COUNTING, tau_out=0.4), rho)
-    assert totals == [n - m for m in range(n + 1)]
 
 
 def test_sector_eigenbasis_once_per_total(monkeypatch):

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dense, dense_qfi, kraus_sum_output, pure_state_phase_qfi
+from conftest import (dense, dense_qfi, hcrb_upper_oracle, kraus_sum_output,
+                      pure_state_phase_qfi, random_two_mode_spec)
 from phaseloss.bounds import fundamental_limits
-from phaseloss.channel import (BlockDensity, ChannelParams, FockProbe, Scenario,
-                               apply_channel, apply_channel_derivatives, build_kraus)
+from phaseloss.channel import (BlockDensity, ChannelParams, ChannelPoints, FockProbe,
+                               Scenario, apply_channel, apply_channel_derivatives,
+                               build_kraus)
 from phaseloss.errors import InvalidInput, SingularInformation
+from phaseloss.gaussian import gaussian_qfi, make_probe
 from phaseloss.qfi import (QfiReport, channel_report, complete_report, hcrb_upper,
                            meas_quantifiers, probe_quantifier, pure_block_report,
                            qfi_matrix, scalar_crb)
@@ -171,6 +176,68 @@ def test_hcrb_upper_chain_of_inequalities():
         assert rep.c_s <= rep.c_h_bar <= 2 * rep.c_s + 1e-9 * rep.c_s
         ratio = meas_quantifiers(rep)
         assert 0.0 < ratio <= 1.0 + 1e-12
+
+
+def random_bound_inputs(rng, count):
+    """Stacks (F, i_phieta, W): F positive definite with condition number up
+    to 1e4, |i_phieta| up to sqrt(det F), and W full-rank, diagonal with an
+    exact zero (singular) or zero."""
+    q = np.linalg.qr(rng.normal(size=(count, 2, 2)))[0]
+    evals = np.exp(rng.uniform(-6, 6, (count, 1))) * np.ones((count, 2))
+    evals[:, 1] *= 10.0 ** rng.uniform(0, 4, count)
+    f = (q * evals[:, None, :]) @ q.swapaxes(-1, -2)
+    f = (f + f.swapaxes(-1, -2)) / 2
+    i_phieta = 1j * rng.uniform(-1, 1, count) * np.sqrt(np.linalg.det(f))
+    a = rng.normal(size=(count, 2, 2))
+    w = a @ a.swapaxes(-1, -2)
+    kind = rng.integers(0, 3, count)
+    singular = np.nonzero(kind == 1)[0]
+    w[singular] = 0.0
+    zero_at = rng.integers(0, 2, len(singular))
+    w[singular, 1 - zero_at, 1 - zero_at] = rng.uniform(0, 5, len(singular))
+    w[kind == 2] = 0.0
+    return f, i_phieta, w
+
+
+def test_hcrb_upper_closed_form_matches_sqrtm_svd_oracle():
+    f, i_phieta, w = random_bound_inputs(np.random.default_rng(11), 3000)
+    ref = hcrb_upper_oracle(f, i_phieta, w)
+    np.testing.assert_allclose(hcrb_upper(f, i_phieta, w), ref, rtol=1e-12)
+    for k in range(0, 3000, 97):
+        assert hcrb_upper(f[k], i_phieta[k], w[k]) == pytest.approx(ref[k], rel=1e-12)
+
+
+def test_hcrb_upper_rejects_non_psd_weights():
+    f, w = np.array([[4.0, 1.0], [1.0, 9.0]]), np.diag([1.0, -0.1])
+    with pytest.raises(InvalidInput):
+        hcrb_upper(f, 0.5j, w)
+    with pytest.raises(InvalidInput):
+        complete_report(QfiReport(f=f, i_phieta=0.5j), w)
+    assert scalar_crb(f, w) == pytest.approx(np.trace(w @ np.linalg.inv(f)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), eta=st.floats(0.03, 0.97))
+def test_two_mode_penalty_is_eta_optimum_over_f_etaeta(seed, n, eta):
+    # i_phieta = i F_phiphi / (2 eta) and diagonal F give a penalty of
+    # sqrt(F_phi_max F_eta_max) / (2 eta F_etaeta) = F_eta_max / F_etaeta
+    rng = np.random.default_rng(seed)
+    probe = FockProbe.random(Scenario.TWO, n, rng)
+    rep = channel_report(probe, ChannelParams(float(rng.uniform(-np.pi, np.pi)), eta, n))
+    assert rep.c_s <= rep.c_h_bar <= 2 * rep.c_s
+    penalty = fundamental_limits(n, eta).f_eta_max / rep.f[1, 1]
+    assert rep.c_h_bar - rep.c_s == pytest.approx(penalty, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), eta=st.floats(0.03, 0.97))
+def test_gaussian_cost_chain_at_default_weights(seed, eta):
+    rng = np.random.default_rng(seed)
+    spec = random_two_mode_spec(rng)
+    w = np.array(fundamental_limits(spec.n_total, eta).weights())
+    rep = gaussian_qfi(make_probe(spec), ChannelPoints(float(rng.uniform(0, 2 * np.pi)), eta),
+                       spec.tau_in, w=w)
+    assert rep.c_s <= rep.c_h_bar <= 2 * rep.c_s * (1 + 1e-9)
 
 
 def test_probe_quantifier_values_and_bound():

@@ -4,7 +4,7 @@ transmissivity estimation on lossy bosonic modes."""
 __version__ = "0.1.0"
 
 from .bounds import (FundamentalLimits, KrausGauge, fundamental_limits,
-                     loss_kraus_term, phase_qnd_bound, probe_incomp_bound)
+                     phase_qnd_bound, probe_incomp_bound)
 from .channel import (BlockDensity, ChannelParams, ChannelPoints, FockProbe,
                       KrausFamily, Scenario, apply_channel,
                       apply_channel_derivatives, beamsplitter_sector,
@@ -15,9 +15,9 @@ from .gaussian import (EnergySplit, EvolvedGaussian, GaussianProbeSpec,
                        GaussianState, ProbeFamily, Regime, asymptotic_limits,
                        evolve, evolve_with_derivatives, evolved_qfi,
                        fock_truncation, gaussian_qfi, make_probe, mix_modes,
-                       photon_moments, probe_moments, spec_from_split)
+                       photon_moments, spec_from_split)
 from .iss import IssConfig, IssResult, build_m_matrix, channel_slds, optimize
-from .linalg import EigenSystem, hermitian_eig, hermitianize, solve_sld, trace_norm
+from .linalg import EigenSystem, hermitian_eig, hermitianize, solve_sld
 from .measurement import (DetectionScheme, MomentSet, SchemeKind,
                           counting_moments, error_propagation,
                           half_photon_counting, homodyne_moments,

@@ -85,13 +85,6 @@ def phase_qnd_bound(mean_n: float, var_n: float, eta: float):
     return value, gauge
 
 
-def loss_kraus_term(eta: float) -> float:
-    """Coefficient of <n> in the squared transmissivity-derivative sum."""
-    if not (0.0 < eta < 1.0):
-        raise DegenerateChannel(f"coefficient diverges at eta = {eta}")
-    return 1.0 / (4.0 * eta * (1.0 - eta))
-
-
 def probe_incomp_bound(mean_n: float, var_n: float, n_budget: float, eta: float) -> float:
     """Moment-based cap on the normalized information sum of any probe.
 

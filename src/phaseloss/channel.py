@@ -19,11 +19,11 @@ Parameter derivatives rescale the table entrywise by generator tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidInput
 
@@ -122,9 +122,15 @@ def probe_statistics(probe: FockProbe):
 
 
 def _log_loss_probability(n, m, eta: float):
-    """log of C(n, m) eta^(n-m) (1-eta)^m, broadcast over arrays n and m."""
-    return (gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
-            + (n - m) * np.log(eta) + m * np.log1p(-eta))
+    """log of C(n, m) eta^(n-m) (1-eta)^m, broadcast over integer arrays n and
+    m, and -inf where m > n.  log C(n, m) is read off a table of log k!."""
+    n, m = np.broadcast_arrays(n, m)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(int(n.max()) + 1)])
+    inside = m <= n
+    m_in = np.where(inside, m, 0)
+    log_p = (log_fact[n] - log_fact[m_in] - log_fact[n - m_in]
+             + (n - m) * np.log(eta) + m * np.log1p(-eta))
+    return np.where(inside, log_p, -np.inf)
 
 
 def binomial_loss_coeff(n: int, m: int, eta: float) -> float:
@@ -165,7 +171,6 @@ class KrausFamily:
 def build_kraus(params: ChannelParams, scenario: Scenario) -> KrausFamily:
     """Kraus family of the phase+loss channel at the given parameter point."""
     n = np.arange(params.n_max + 1)
-    # below the diagonal (n < m) gammaln(n - m + 1) sits on a pole: log 0 = -inf
     log_amp = 0.5 * _log_loss_probability(n, n[:, None], params.eta)
     return KrausFamily(scenario, params, np.exp(log_amp + 1j * params.phi * n))
 

@@ -23,9 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (ChannelParams, ChannelPoints, FockProbe, Scenario,
-                      _single_mode_output, beamsplitter_sector, build_kraus,
-                      probe_statistics)
+from .channel import (ChannelParams, ChannelPoints, Scenario, _single_mode_output,
+                      beamsplitter_sector, build_kraus)
 from .errors import InvalidInput, InvalidState
 from .qfi import QfiReport, _point, complete_report
 
@@ -438,20 +437,6 @@ def number_covariance(state: GaussianState, i: int, j: int) -> float:
            + (np.conj(d[..., i]) * d[..., j] * s_ij).real
            + np.abs(m_ij) ** 2 + (np.abs(s_ij) ** 2 - delta) / 4.0)
     return _point(val)
-
-
-def probe_moments(probe_or_state):
-    """Sensing-mode photon mean and variance of a probe, either layout.
-
-    Accepts a number-basis probe (coefficient vector) or a Gaussian state;
-    convenience for feeding the moment bounds of ``bounds``.
-    """
-    if isinstance(probe_or_state, FockProbe):
-        return probe_statistics(probe_or_state)
-    if isinstance(probe_or_state, GaussianState):
-        mean_n, _, var_n = photon_moments(probe_or_state)
-        return mean_n, var_n
-    raise InvalidInput(f"cannot extract moments from {type(probe_or_state).__name__}")
 
 
 # ---------------------------------------------------------------------------

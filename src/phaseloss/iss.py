@@ -69,6 +69,8 @@ class IssConfig:
             raise InvalidInput("need conv_window >= 2 and a finite conv_rel_tol > 0")
         if self.max_iters < 1 or self.restarts < 1:
             raise InvalidInput("max_iters and restarts must be positive")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Everything here works on plain numpy arrays.  Density operators and their
 derivatives are Hermitian by construction elsewhere; these routines enforce
-Hermitian structure where it matters (eigendecomposition, the symmetric
-logarithmic derivative equation) and stay agnostic otherwise (trace norm).
+Hermitian structure where they need it: the eigendecomposition and the
+symmetric logarithmic derivative equation.
 """
 
 from __future__ import annotations
@@ -86,11 +86,3 @@ def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     for k, d in enumerate(drho):     # slice by slice: temporaries of one matrix
         out[k] = solve(d)
     return out
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of a (generally non-Hermitian) matrix."""
-    m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
-        raise InvalidInput("matrix has non-finite entries")
-    return float(np.sum(npl.svd(m, compute_uv=False)))

@@ -73,18 +73,16 @@ def _splitter_4x4(tau) -> np.ndarray:
 
 
 def output_transform(scheme: DetectionScheme, state):
-    """Mix the output modes of a Gaussian state (with or without derivatives)
+    """Mix the output modes of an evolved Gaussian state and its derivatives
     on the detection beamsplitter, by the symplectic splitter matrix.
 
     Number-basis outputs are read behind the splitter by ``counting_moments``
     and are never rotated.
     """
-    if not isinstance(state, (EvolvedGaussian, GaussianState)):
+    if not isinstance(state, EvolvedGaussian):
         raise InvalidInput(f"cannot transform {type(state).__name__}")
     b4 = _splitter_4x4(scheme.tau_out)
     b4_h = b4.conj().swapaxes(-1, -2)
-    if isinstance(state, GaussianState):
-        return GaussianState(b4 @ state.sigma @ b4_h, _matvec(b4, state.d))
     return EvolvedGaussian(
         sigma=b4 @ state.sigma @ b4_h,
         d=_matvec(b4, state.d),

@@ -7,7 +7,8 @@ import numpy as np
 from phaseloss.channel import (ChannelParams, Scenario, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
                                build_kraus)
-from phaseloss.gaussian import fock_truncation, grid_channel_output, mix_modes
+from phaseloss.gaussian import (GaussianProbeSpec, ProbeFamily, fock_truncation,
+                                grid_channel_output, mix_modes)
 from phaseloss.linalg import hermitian_eig, hermitianize
 
 
@@ -290,8 +291,6 @@ def grid_moments(grid):
 
 def random_two_mode_spec(rng, n_total_max=3.0, families=("single", "two")):
     """Random physical Gaussian probe spec with bounded energy (oracle-friendly)."""
-    from phaseloss.gaussian import GaussianProbeSpec, ProbeFamily
-
     fam = ProbeFamily.SINGLE_MODE if rng.choice(families) == "single" else ProbeFamily.TWO_MODE
     n_r = float(rng.uniform(0.02, 0.35))
     n_a = float(rng.uniform(0.05, n_total_max - n_r))

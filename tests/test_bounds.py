@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phaseloss.bounds import (KrausGauge, fundamental_limits,
-                              gauge_phase_expectation, loss_kraus_term,
+from phaseloss.bounds import (KrausGauge, fundamental_limits, gauge_phase_expectation,
                               phase_qnd_bound, probe_incomp_bound)
 from phaseloss.channel import ChannelParams, FockProbe, Scenario, probe_statistics
 from phaseloss.errors import DegenerateChannel, InvalidInput
@@ -67,15 +66,6 @@ def test_phase_bound_matches_grid_minimization():
         assert 0 < ia < 400 and 0 < ib < 400   # interior minimum at the gauge
 
 
-def test_loss_kraus_term():
-    assert loss_kraus_term(0.5) == pytest.approx(1.0)
-    assert loss_kraus_term(0.3) == pytest.approx(loss_kraus_term(0.7))
-    n, eta = 12.0, 0.4
-    assert 4 * loss_kraus_term(eta) * n == pytest.approx(fundamental_limits(n, eta).f_eta_max)
-    with pytest.raises(DegenerateChannel):
-        loss_kraus_term(0.0)
-
-
 def test_probe_bound_extremes():
     eta = 0.6
     assert probe_incomp_bound(10.0, math.inf, 10.0, eta) == pytest.approx(1.0)
@@ -126,19 +116,3 @@ def test_phase_bound_dominates_achieved_information():
         cap, _ = phase_qnd_bound(mean_n, var_n, eta)
         assert rep.f[0, 0] <= cap + 1e-6 * max(1.0, cap)
         assert rep.f[1, 1] <= fundamental_limits(n, eta).f_eta_max * (1 + 1e-10)
-
-
-def test_probe_moments_wrapper():
-    from phaseloss.gaussian import probe_moments
-    from phaseloss.gaussian import GaussianProbeSpec, ProbeFamily, make_probe
-
-    mean_n, var_n = probe_moments(FockProbe.fock(Scenario.SINGLE, 4, 6))
-    assert mean_n == pytest.approx(4.0)
-    assert var_n == pytest.approx(0.0)
-
-    state = make_probe(GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=1.5))
-    mean_n, var_n = probe_moments(state)
-    assert mean_n == pytest.approx(2.25)
-    assert var_n == pytest.approx(2.25)
-    with pytest.raises(InvalidInput):
-        probe_moments(np.eye(2))

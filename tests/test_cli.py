@@ -273,6 +273,15 @@ def test_optimize_rejects_two_infinite_weights(scenario):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("scenario", ["single", "two"])
+def test_optimize_rejects_negative_seed(scenario):
+    code, out, err = run_cli(["optimize", "--scenario", scenario, "--n", "4", "--eta", "0.3",
+                              "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
 @pytest.mark.parametrize("token, value", [
     ("pi/4", math.pi / 4), ("-pi", -math.pi), ("3pi/2", 1.5 * math.pi),
     ("0.5*pi", 0.5 * math.pi), ("+pi/2", math.pi / 2), ("1e-3", 1e-3), (" 2 ", 2.0)])

@@ -4,10 +4,13 @@ Every import sits at module level, so that the import graph is the one a
 reader sees at the top of each file and no cycle hides inside a function;
 the closed-form bounds depend on no other module of the package but the
 exception types.  The package runs in one thread: no module imports a
-thread or process pool.
+thread or process pool.  Its one runtime dependency is numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,8 +60,8 @@ def test_bounds_imports_no_package_module_but_errors():
 CONCURRENCY = {"concurrent", "threading", "multiprocessing"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-def test_no_concurrency_imports(path):
+def absolute_imports(path):
+    """Names of the modules a module imports by absolute name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = set()
     for node in ast.walk(tree):
@@ -66,5 +69,30 @@ def test_no_concurrency_imports(path):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module)
-    found = sorted(name for name in names if name.split(".")[0] in CONCURRENCY)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_concurrency_imports(path):
+    found = sorted(name for name in absolute_imports(path)
+                   if name.split(".")[0] in CONCURRENCY)
     assert not found, f"{path.name} imports {', '.join(found)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_only_the_standard_library_and_numpy(path):
+    allowed = set(sys.stdlib_module_names) | {"numpy", "phaseloss"}
+    found = sorted(name for name in absolute_imports(path)
+                   if name.split(".")[0] not in allowed)
+    assert not found, f"{path.name} imports {', '.join(found)}"
+
+
+def test_package_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, phaseloss, phaseloss.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -4,7 +4,7 @@ import pytest
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput
-from phaseloss.linalg import hermitian_eig, hermitianize, solve_sld, trace_norm
+from phaseloss.linalg import hermitian_eig, hermitianize, solve_sld
 
 
 def random_hermitian(rng, dim):
@@ -106,18 +106,3 @@ def test_sld_shape_mismatch():
         solve_sld(np.eye(2) / 2, np.eye(3))
     with pytest.raises(InvalidInput):
         solve_sld(np.eye(2) / 2, np.zeros((2, 3, 3)))
-
-
-def test_trace_norm_values():
-    assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
-    assert trace_norm(np.zeros((3, 3))) == 0.0
-    assert trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
-
-
-def test_trace_norm_unitary_invariance():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    base = trace_norm(m)
-    for _ in range(5):
-        q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        assert abs(trace_norm(q @ m @ q.conj().T) - base) < 1e-10 * base

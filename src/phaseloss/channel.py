@@ -20,6 +20,7 @@ Parameter derivatives rescale the table entrywise by generator tables.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,8 +67,9 @@ class ChannelParams(ChannelPoints):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_max < 1:
-            raise InvalidInput("n_max must be a positive integer")
+        if not hasattr(self.n_max, "__index__") or self.n_max < 1:
+            raise InvalidInput(f"n_max must be a positive integer, got {self.n_max!r}")
+        object.__setattr__(self, "n_max", operator.index(self.n_max))
         object.__setattr__(self, "phi", float(self.phi))
         object.__setattr__(self, "eta", float(self.eta))
 
@@ -83,7 +85,7 @@ class FockProbe:
         c = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", c)
         norm = np.sum(np.abs(c) ** 2)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:     # a NaN norm fails too
             raise InvalidInput(f"probe coefficients not normalized: |c|^2 = {norm}")
 
     @property

@@ -33,11 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# counting fringes are read where the difference-signal slope is maximal:
-# mid-fringe for Gaussian probes, and phi = 0 for number probes, whose real
-# amplitudes give a slope that goes as cos(phi)
-OPERATING_PHI = math.pi / 2.0
-
 
 def _parse_angle(token: str) -> float:
     """A finite float, or a multiple of pi written [a][*]pi[/b] (pi/4, -3pi/2)."""
@@ -316,6 +311,27 @@ def cmd_optimize(args):
     return EXIT_OK
 
 
+def _two_mode_spec(args, n, eta, chi, regime=gauss.Regime.STRONG_DISPLACEMENT,
+                   **angles):
+    """Two-mode probe spec of a sweep point (n, eta, chi), displaced along
+    mu = 0, and the channel limits at its budget.  A cross-squeezed probe
+    (chi != 0) enters at tau_in = 1, the others at the split's tau_in()."""
+    split = gauss.EnergySplit(float(n), p=args.p, q=args.q, regime=regime)
+    tau_in = 1.0 if abs(chi) > 1e-12 else split.tau_in()
+    spec = gauss.spec_from_split(gauss.ProbeFamily.TWO_MODE, split, mu=0.0, chi=chi,
+                                 tau_in=tau_in, **angles)
+    return spec, bounds_mod.fundamental_limits(split.n_total, eta)
+
+
+def _evolve_and_report(specs, lims, phi, etas):
+    """Evolve a chunk of specs at phase phi and their transmissivities; returns
+    the evolved stack and its information report weighted by the limits."""
+    channel = ChannelPoints(np.full(len(specs), phi), etas)
+    ev = gauss.evolve_with_derivatives(gauss.make_probe(specs), channel,
+                                       [spec.tau_in for spec in specs])
+    return ev, gauss.evolved_qfi(ev, w=np.array([lim.weights() for lim in lims]))
+
+
 GAUSSIAN_HEADER = ["n", "eta", "chi", "p", "q", "regime", "tau_in", "mu",
                    "theta", "theta1", "theta2", "f_phi_norm", "f_eta_norm",
                    "f_norm", "f_phieta", "i_phieta_imag", "r_h_bar"]
@@ -326,26 +342,17 @@ def cmd_gaussian_scan(args):
     chis = sorted(_parse_floats(args.chi))
     regime = gauss.Regime(args.regime)
     points = [(n, eta, chi) for n in n_values for eta in eta_values for chi in chis]
-    mu = 0.0
     theta1 = theta2 = math.pi   # squeezing opposed to the displacement
     theta = (theta1 + theta2 - math.pi) / 2.0
 
     def build(point):
         n, eta, chi = point
-        split = gauss.EnergySplit(float(n), p=args.p, q=args.q, regime=regime)
-        cross = abs(chi) > 1e-12
-        tau_in = 1.0 if cross else split.tau_in()
-        spec = gauss.spec_from_split(gauss.ProbeFamily.TWO_MODE, split, mu=mu,
-                                     theta=theta, theta1=theta1, theta2=theta2,
-                                     chi=chi, tau_in=tau_in)
-        return point, spec, bounds_mod.fundamental_limits(split.n_total, eta)
+        return (point, *_two_mode_spec(args, n, eta, chi, regime, theta=theta,
+                                       theta1=theta1, theta2=theta2))
 
     def evaluate(inputs):
         points, specs, lims = zip(*inputs)
-        channel = ChannelPoints(0.0, [eta for _, eta, _ in points])
-        rep = gauss.gaussian_qfi(gauss.make_probe(specs), channel,
-                                 [spec.tau_in for spec in specs],
-                                 w=np.array([lim.weights() for lim in lims]))
+        _, rep = _evolve_and_report(specs, lims, 0.0, [eta for _, eta, _ in points])
         rows = []
         for (n, eta, chi), spec, lim, f, i_pe, c_s, c_h_bar in zip(
                 points, specs, lims, rep.f.tolist(), rep.i_phieta.imag.tolist(),
@@ -354,7 +361,7 @@ def cmd_gaussian_scan(args):
             f_eta = f[1][1] / lim.f_eta_max
             row = {
                 "n": n, "eta": eta, "chi": chi, "p": args.p, "q": args.q,
-                "regime": regime.value, "tau_in": spec.tau_in, "mu": mu,
+                "regime": regime.value, "tau_in": spec.tau_in, "mu": spec.mu,
                 "theta": theta, "theta1": theta1, "theta2": theta2,
                 "f_phi_norm": f_phi, "f_eta_norm": f_eta,
                 "f_norm": 0.5 * (f_phi + f_eta),
@@ -390,19 +397,25 @@ def cmd_measure(args):
     return EXIT_OK
 
 
+def _readout_columns(var_phi, var_eta, c_s, c_h_bar, lim):
+    """The scheme columns of a measure row: variances in units of the channel
+    optima, the scheme's excess cost and the state's C_S / C_H_bar."""
+    return {"var_phi_fmax": var_phi * lim.f_phi_max_s12,
+            "var_eta_fmax": var_eta * lim.f_eta_max,
+            "r_scheme": (meas.scheme_incompatibility(var_phi, var_eta, c_s, lim)
+                         if c_s is not None else None),
+            "r_h_bar": (c_s / c_h_bar) if c_h_bar else None}
+
+
 def _measure_gaussian(args, kind, chi, points):
     """Gaussian-probe rows: every stage runs once per chunk of the grid, and
     each point is evolved once for both its information and its moments."""
     counting = kind is meas.SchemeKind.COUNTING
-    phi_op = OPERATING_PHI if counting else 0.0
+    phi_op = meas.OPERATING_PHI if counting else 0.0
 
     def build(point):
         n, eta, tau_out, xi = point
-        lim = bounds_mod.fundamental_limits(float(n), eta)
         meas.DetectionScheme(kind, tau_out=tau_out, xi=xi)
-        split = gauss.EnergySplit(float(n), p=args.p, q=args.q)
-        cross = abs(chi) > 1e-12
-        tau_in = 1.0 if cross else split.tau_in()
         if counting:
             theta1 = theta2 = math.pi
             theta = math.pi / 2.0
@@ -412,18 +425,12 @@ def _measure_gaussian(args, kind, chi, points):
             theta1 = theta2 = 2.0 * xi
             theta = 2.0 * xi if abs(chi - math.pi / 2) < 1e-12 \
                 else (theta1 + theta2 - math.pi) / 2.0
-        spec = gauss.spec_from_split(gauss.ProbeFamily.TWO_MODE, split, mu=0.0,
-                                     theta=theta, theta1=theta1, theta2=theta2,
-                                     chi=chi, tau_in=tau_in)
-        return point, spec, lim
+        return (point, *_two_mode_spec(args, n, eta, chi, theta=theta,
+                                       theta1=theta1, theta2=theta2))
 
     def evaluate(inputs):
         points, specs, lims = zip(*inputs)
-        n_pts = len(points)
-        channel = ChannelPoints(np.full(n_pts, phi_op), [p[1] for p in points])
-        ev = gauss.evolve_with_derivatives(gauss.make_probe(specs), channel,
-                                           [spec.tau_in for spec in specs])
-        rep = gauss.evolved_qfi(ev, w=np.array([lim.weights() for lim in lims]))
+        ev, rep = _evolve_and_report(specs, lims, phi_op, [p[1] for p in points])
         scheme = meas.DetectionScheme(kind, tau_out=np.array([p[2] for p in points]),
                                       xi=np.array([p[3] for p in points]))
         moments = (meas.counting_moments(ev, scheme) if counting
@@ -434,10 +441,7 @@ def _measure_gaussian(args, kind, chi, points):
                 points, lims, var_phis, var_etas, rep.c_s.tolist(), rep.c_h_bar.tolist()):
             row = {"n": n, "eta": eta, "probe": args.probe, "scheme": kind.value,
                    "tau_out": tau_out, "xi": xi, "status": "ok",
-                   "var_phi_fmax": var_phi * lim.f_phi_max_s12,
-                   "var_eta_fmax": var_eta * lim.f_eta_max,
-                   "r_scheme": meas.scheme_incompatibility(var_phi, var_eta, c_s, lim),
-                   "r_h_bar": (c_s / c_h_bar) if c_h_bar else None}
+                   **_readout_columns(var_phi, var_eta, c_s, c_h_bar, lim)}
             rows.append((row, f"measure n={n} eta={eta} tau_out={tau_out} xi={xi:.3f}"))
         return rows
 
@@ -456,8 +460,7 @@ def _measure_fock(args, kind, points):
                "tau_out": tau_out, "xi": xi, "status": "ok"}
         rows.append(row)
         if kind is meas.SchemeKind.HOMODYNE:
-            row.update({"var_phi_fmax": None, "var_eta_fmax": None,
-                        "r_scheme": None, "r_h_bar": None, "status": "unsupported"})
+            row["status"] = "unsupported"     # its readout cells stay empty
             continue
         if (n, eta) not in fock_outputs:
             params = ChannelParams(0.0, eta, n)
@@ -469,15 +472,8 @@ def _measure_fock(args, kind, points):
         rho, dphi, deta, rep = fock_outputs[(n, eta)]
         moments = meas.counting_moments(rho, scheme, dphi, deta)
         var_phi, var_eta = meas.error_propagation(moments)
-        r_scheme = (meas.scheme_incompatibility(var_phi, var_eta, rep.c_s, lim)
-                    if rep.c_s is not None else None)
         _progress(f"measure n={n} eta={eta} tau_out={tau_out} xi={xi:.3f}")
-        row.update({
-            "var_phi_fmax": var_phi * lim.f_phi_max_s12,
-            "var_eta_fmax": var_eta * lim.f_eta_max,
-            "r_scheme": r_scheme,
-            "r_h_bar": (rep.c_s / rep.c_h_bar) if rep.c_h_bar else None,
-        })
+        row.update(_readout_columns(var_phi, var_eta, rep.c_s, rep.c_h_bar, lim))
     return rows
 
 

@@ -100,6 +100,9 @@ class GaussianProbeSpec:
     tau_in: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.mu, self.r, self.theta,
+                                       self.theta1, self.theta2, self.chi))):
+            raise InvalidInput("probe parameters must be finite")
         if self.alpha < 0 or self.r < 0:
             raise InvalidInput("alpha and r must be nonnegative")
         if not (0.0 <= self.tau_in <= 1.0):
@@ -134,8 +137,8 @@ class EnergySplit:
     regime: Regime = Regime.STRONG_DISPLACEMENT
 
     def __post_init__(self):
-        if self.n_total <= 1.0:
-            raise InvalidInput("asymptotic split needs n_total > 1")
+        if not 1.0 < self.n_total < math.inf:
+            raise InvalidInput("asymptotic split needs a finite n_total > 1")
         if not (0.0 < self.p < 1.0) or not (0.0 < self.q < 1.0):
             raise InvalidInput("exponents p, q must lie in (0, 1)")
 
@@ -419,7 +422,8 @@ def gaussian_qfi(state: GaussianState, params: ChannelPoints, tau_in,
 
 
 def photon_moments(state: GaussianState):
-    """Mean photon number per mode and the sensing-mode number variance."""
+    """Mean photon number per mode and the sensing-mode number variance of
+    any object with ``sigma`` and ``d`` (a state or an EvolvedGaussian)."""
     sig, d = state.sigma, state.d
     n1 = (sig[..., 0, 0].real - 1.0) / 2.0 + np.abs(d[..., 0]) ** 2
     n2 = (sig[..., 1, 1].real - 1.0) / 2.0 + np.abs(d[..., 1]) ** 2
@@ -427,7 +431,7 @@ def photon_moments(state: GaussianState):
 
 
 def number_covariance(state: GaussianState, i: int, j: int) -> float:
-    """Symmetrized covariance of the mode photon numbers n_i, n_j (0-based)."""
+    """Covariance of the photon numbers n_i, n_j (0-based) of any sigma/d holder."""
     sig = state.sigma
     d = state.d
     m_ij = sig[..., i, j + 2] / 2.0

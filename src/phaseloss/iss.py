@@ -122,7 +122,7 @@ def _resolve_weights(config: IssConfig, params: ChannelParams):
     lim = _bounds.fundamental_limits(params.n_max, params.eta)
     w_phi = config.weight_phi if config.weight_phi is not None else lim.f_phi_max_s12
     w_eta = config.weight_eta if config.weight_eta is not None else lim.f_eta_max
-    if w_phi <= 0 or w_eta <= 0:
+    if not (w_phi > 0 and w_eta > 0):     # NaN fails too
         raise InvalidInput("weights must be positive (numpy.inf drops a parameter)")
     if math.isinf(w_phi) and math.isinf(w_eta):
         raise InvalidInput("at least one weight must be finite")

@@ -22,12 +22,16 @@ import numpy as np
 
 from .channel import BlockDensity, ChannelPoints, Scenario
 from .errors import InvalidInput, Unsupported
-from .gaussian import (EnergySplit, EvolvedGaussian, GaussianState,
-                       ProbeFamily, _matvec, evolve_with_derivatives, make_probe,
-                       number_covariance, spec_from_split)
+from .gaussian import (EnergySplit, EvolvedGaussian, ProbeFamily, _matvec,
+                       evolve_with_derivatives, make_probe, mode_unitary,
+                       number_covariance, photon_moments, spec_from_split)
 from .qfi import _check_layout, _point
 
 _COV_RANK_TOL = 1e-12
+# counting fringes are read where the difference-signal slope is maximal:
+# mid-fringe for Gaussian probes, and phi = 0 for number probes, whose real
+# amplitudes give a slope that goes as cos(phi)
+OPERATING_PHI = math.pi / 2.0
 
 
 class SchemeKind(str, Enum):
@@ -48,6 +52,8 @@ class DetectionScheme:
         tau = np.asarray(self.tau_out, dtype=float)
         if not np.all((0.0 <= tau) & (tau <= 1.0)):
             raise InvalidInput("tau_out must lie in [0, 1]")
+        if not np.all(np.isfinite(self.xi)):
+            raise InvalidInput("xi must be finite")
 
 
 @dataclass(frozen=True)
@@ -62,26 +68,16 @@ class MomentSet:
     cov: np.ndarray
 
 
-def _splitter_4x4(tau) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    t, rcoef = np.sqrt(tau), -1j * np.sqrt(1.0 - tau)
-    out = np.zeros(tau.shape + (4, 4), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = t
-    out[..., 0, 1] = out[..., 1, 0] = rcoef
-    out[..., 2:, 2:] = out[..., :2, :2].conj()
-    return out
-
-
 def output_transform(scheme: DetectionScheme, state):
     """Mix the output modes of an evolved Gaussian state and its derivatives
     on the detection beamsplitter, by the symplectic splitter matrix.
 
-    Number-basis outputs are read behind the splitter by ``counting_moments``
-    and are never rotated.
+    It reflects with -i: the conjugate of ``mode_unitary`` at phi = 0.  Number-
+    basis outputs are read by ``counting_moments`` and are never rotated.
     """
     if not isinstance(state, EvolvedGaussian):
         raise InvalidInput(f"cannot transform {type(state).__name__}")
-    b4 = _splitter_4x4(scheme.tau_out)
+    b4 = mode_unitary(0.0, scheme.tau_out).conj()
     b4_h = b4.conj().swapaxes(-1, -2)
     return EvolvedGaussian(
         sigma=b4 @ state.sigma @ b4_h,
@@ -97,10 +93,9 @@ _TO_PM = np.array([[1.0, 1.0], [1.0, -1.0]])     # (n1, n2) -> (sum, difference)
 
 
 def _gaussian_number_moments(ev: EvolvedGaussian) -> MomentSet:
-    sig, d = ev.sigma, ev.d
-    state = GaussianState(sig, d)
-    means_n = (np.diagonal(sig, axis1=-2, axis2=-1)[..., :2].real - 1.0) / 2.0 \
-        + np.abs(d[..., :2]) ** 2
+    d = ev.d
+    n1, n2, v11 = photon_moments(ev)
+    means_n = np.stack([n1, n2], axis=-1)
 
     def dn(dsig, dd):
         # Re(conj(d) dd) from real products: a vectorized complex product may
@@ -109,9 +104,8 @@ def _gaussian_number_moments(ev: EvolvedGaussian) -> MomentSet:
                 + 2.0 * (d[..., :2].real * dd[..., :2].real
                          + d[..., :2].imag * dd[..., :2].imag))
 
-    v11 = number_covariance(state, 0, 0)
-    v22 = number_covariance(state, 1, 1)
-    v12 = number_covariance(state, 0, 1)
+    v22 = number_covariance(ev, 1, 1)
+    v12 = number_covariance(ev, 0, 1)
     cov_n = np.stack([np.stack([v11, v12], axis=-1), np.stack([v12, v22], axis=-1)],
                      axis=-2)
     return MomentSet(
@@ -240,7 +234,7 @@ def half_photon_counting(n_total: float, eta: float, chi: float = 0.0):
 
     Each sub-experiment carries n_total/2 photons (split exponents
     p = q = 1/2, displacement along mu = 0), is read at the mid-fringe point
-    phi = pi/2 and serves one parameter only, so its variance is doubled in
+    OPERATING_PHI and serves one parameter only, so its variance is doubled in
     the cost accounting.  Returns (var_phi, var_eta).
     """
     split = EnergySplit(n_total / 2.0, p=0.5, q=0.5)
@@ -249,7 +243,7 @@ def half_photon_counting(n_total: float, eta: float, chi: float = 0.0):
     for theta1, tau_out, pick in ((math.pi, 0.5, 0), (0.0, 1.0, 1)):
         spec = spec_from_split(ProbeFamily.TWO_MODE, split, theta=(theta1 - math.pi) / 2.0,
                                theta1=theta1, chi=chi, tau_in=tau_in)
-        ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(math.pi / 2.0, eta),
+        ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(OPERATING_PHI, eta),
                                      tau_in)
         moments = counting_moments(ev, DetectionScheme(SchemeKind.COUNTING,
                                                        tau_out=tau_out))

@@ -69,6 +69,25 @@ def test_params_validation():
         ChannelParams(0.0, 0.5, 0)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 3.0, np.float64(3.0), "3"], ids=repr)
+def test_params_reject_a_non_integer_cutoff(n_max):
+    with pytest.raises(InvalidInput):
+        ChannelParams(0.0, 0.5, n_max)
+
+
+def test_params_take_an_integer_cutoff_of_any_integer_type():
+    params = ChannelParams(0.0, 0.5, np.int64(3))
+    assert params.n_max == 3 and type(params.n_max) is int
+    assert build_kraus(params, Scenario.TWO).n_max == 3
+    assert ChannelParams(0.0, 0.5, 1).n_max == 1
+
+
+@pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [np.inf, 0.0], [1.0, np.nan]], ids=repr)
+def test_probe_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(InvalidInput):
+        FockProbe(Scenario.TWO, coeffs)
+
+
 @pytest.mark.parametrize("scenario", [Scenario.SINGLE, Scenario.TWO])
 def test_kraus_completeness(scenario):
     params = ChannelParams(1.234, 0.41, 9)

@@ -64,6 +64,19 @@ def test_unmatched_phases_rejected():
                                      theta=0.0, theta1=0.0, theta2=0.0))
 
 
+@pytest.mark.parametrize("field", ["alpha", "mu", "r", "theta", "theta1", "theta2", "chi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+def test_spec_rejects_non_finite_parameters(field, value):
+    with pytest.raises(InvalidInput):
+        GaussianProbeSpec(ProbeFamily.TWO_MODE, **{field: value})
+
+
+@pytest.mark.parametrize("n_total", [np.nan, np.inf], ids=repr)
+def test_energy_split_rejects_non_finite_energy(n_total):
+    with pytest.raises(InvalidInput):
+        EnergySplit(n_total, p=0.5)
+
+
 def test_evolve_unitary_case_preserves_spectrum():
     spec = GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=0.5, r=0.6, theta1=0.3)
     state = make_probe(spec)

@@ -5,6 +5,7 @@ from conftest import (kraus_matrix, kraus_sum_output, pre_qfi, single_mode_m_mat
                       sld_oracle)
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus, probe_statistics)
+from phaseloss.errors import InvalidInput
 from phaseloss.iss import IssConfig, build_m_matrix, channel_slds, optimize
 from conftest import two_mode_m_matrix as _fast_m_two_mode
 from phaseloss.linalg import hermitianize
@@ -306,3 +307,10 @@ def test_two_mode_certifies_where_barrier_steps_stall(n, eta):
 def test_single_mode_gap_is_nan():
     res = optimize(IssConfig(max_iters=5), ChannelParams(0.0, 0.4, 4), Scenario.SINGLE)
     assert np.isnan(res.gap)
+
+
+@pytest.mark.parametrize("scenario", [Scenario.SINGLE, Scenario.TWO], ids=lambda s: s.value)
+def test_optimize_rejects_nan_weight(scenario):
+    for weights in ({"weight_phi": np.nan}, {"weight_eta": np.nan}):
+        with pytest.raises(InvalidInput):
+            optimize(IssConfig(**weights), ChannelParams(0.0, 0.5, 4), scenario)

@@ -11,10 +11,11 @@ from phaseloss.channel import (BlockDensity, ChannelParams, ChannelPoints, FockP
                                build_kraus)
 from phaseloss.errors import InvalidInput, Unsupported
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily,
-                                evolve_with_derivatives, make_probe,
+                                evolve_with_derivatives, gaussian_qfi, make_probe,
                                 spec_from_split)
-from phaseloss.measurement import (DetectionScheme, SchemeKind, counting_moments,
-                                   error_propagation, homodyne_moments,
+from phaseloss.measurement import (DetectionScheme, MomentSet, SchemeKind,
+                                   counting_moments, error_propagation,
+                                   half_photon_counting, homodyne_moments,
                                    output_transform, scheme_incompatibility)
 
 MID_FRINGE = math.pi / 2
@@ -41,6 +42,12 @@ def test_output_transform_rejects_number_basis_blocks():
         rho, _, _ = fock_output(FockProbe.fock(scenario, 1, 1), ChannelParams(0.0, 0.9, 1))
         with pytest.raises(InvalidInput):
             output_transform(scheme, rho)
+
+
+@pytest.mark.parametrize("xi", [np.nan, np.inf, [0.0, np.nan]], ids=repr)
+def test_scheme_rejects_non_finite_xi(xi):
+    with pytest.raises(InvalidInput):
+        DetectionScheme(SchemeKind.HOMODYNE, xi=xi)
 
 
 def test_coherent_counting_statistics():
@@ -232,7 +239,6 @@ def test_homodyne_rejects_number_basis_output():
 
 
 def test_error_propagation_zero_signal_sentinel():
-    from phaseloss.measurement import MomentSet
     moments = MomentSet(means=np.zeros(2), dphi=np.zeros(2), deta=np.array([1.0, 0.0]),
                         cov=np.diag([2.0, 3.0]))
     var_phi, var_eta = error_propagation(moments)
@@ -252,7 +258,6 @@ def test_scheme_incompatibility_limits():
 
 def test_classical_cost_respects_quantum_bound():
     # propagated weighted cost never beats the state's quantum bound
-    from phaseloss.gaussian import gaussian_qfi
     rng = np.random.default_rng(4)
     split = EnergySplit(100.0, p=0.5, q=0.5)
     for theta1 in (0.0, np.pi / 3, np.pi):
@@ -275,7 +280,6 @@ def test_classical_cost_respects_quantum_bound():
 def test_half_photon_strategy_regression():
     # split strategy at n=20, eta=0.1: values pinned after the first verified
     # run; guards the shape of the counting tradeoff at desk scale
-    from phaseloss.measurement import half_photon_counting
     lim = fundamental_limits(20.0, 0.1)
     var_phi, var_eta = half_photon_counting(20.0, 0.1, chi=0.0)
     assert var_phi * lim.f_phi_max_s12 == pytest.approx(15.177792, rel=1e-5)
@@ -286,7 +290,6 @@ def test_half_photon_strategy_regression():
 
 
 def test_half_photon_variances_decrease_with_energy():
-    from phaseloss.measurement import half_photon_counting
     scaled = []
     for n in (20.0, 100.0, 1000.0):
         lim = fundamental_limits(n, 0.1)

@@ -19,6 +19,7 @@ Parameter derivatives rescale the table entrywise by generator tables.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -123,11 +124,15 @@ def probe_statistics(probe: FockProbe):
     return mean, float(np.dot(n ** 2, p) - mean ** 2)
 
 
+def _log_factorials(n_max: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+
+
 def _log_loss_probability(n, m, eta: float):
     """log of C(n, m) eta^(n-m) (1-eta)^m, broadcast over integer arrays n and
     m, and -inf where m > n.  log C(n, m) is read off a table of log k!."""
     n, m = np.broadcast_arrays(n, m)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(int(n.max()) + 1)])
+    log_fact = _log_factorials(int(n.max()))
     inside = m <= n
     m_in = np.where(inside, m, 0)
     log_p = (log_fact[n] - log_fact[m_in] - log_fact[n - m_in]
@@ -160,13 +165,15 @@ class KrausFamily:
     def n_max(self) -> int:
         return self.params.n_max
 
-    def generators(self):
+    def generators(self, shifted: bool = False):
         """Generator tables (G_phi, G_eta) with dT/dphi = G_phi T, dT/deta = G_eta T.
 
         G_phi[m, n] = i n and G_eta[m, n] = (n(1-eta) - m) / (2 eta (1-eta)).
+        ``shifted`` reads both at (m, m + j), the layout of _shift_rows.
         """
         eta = self.params.eta
         m, n = np.indices(self.table.shape)
+        n = m + n if shifted else n
         return 1j * n, (n * (1.0 - eta) - m) / (2.0 * eta * (1.0 - eta))
 
 
@@ -209,17 +216,18 @@ def block_vectors(probe: FockProbe, kraus: KrausFamily) -> np.ndarray:
     return kraus.table * probe.coeffs
 
 
-def _shift_rows(table: np.ndarray) -> np.ndarray:
+def _shift_rows(table: np.ndarray, right: bool = False) -> np.ndarray:
     """Row m moved left by m places, zero past N: out[m, j, ...] = table[m, j + m, ...].
 
-    Applied to rows of T * c it gives the single-mode post-loss vectors at
-    their output photon numbers j = n - m; trailing spectator axes ride along.
+    On T * c it gives the post-loss vectors at output photon numbers j = n - m;
+    trailing axes ride along.  ``right`` moves row m right, zero before m.
     """
-    n_pts = table.shape[0]
-    m, j = np.indices((n_pts, n_pts))
-    n = m + j
-    inside = (n < n_pts).reshape(n.shape + (1,) * (table.ndim - 2))
-    return np.where(inside, table[m, np.minimum(n, n_pts - 1)], 0.0)
+    n, tail = table.shape[0], table.shape[2:]
+    flat = np.zeros((2 * n * n,) + tail, dtype=np.result_type(table, float))
+    narrow = flat[:n * (2 * n - 1)].reshape((n, 2 * n - 1) + tail)
+    wide = flat.reshape((n, 2 * n) + tail)
+    (wide if right else narrow)[:, :n] = table
+    return np.ascontiguousarray((narrow if right else wide)[:, :n])
 
 
 def _single_mode_output(vecs: np.ndarray, kraus: KrausFamily):
@@ -229,19 +237,60 @@ def _single_mode_output(vecs: np.ndarray, kraus: KrausFamily):
     trailing spectator axes (none for a plain probe).  With W the shifted
     table flattened to (N+1, D), D = (N+1) times the spectator size, the
     output is rho = W^T conj(W) and each derivative is shift(G T a)^T conj(W)
-    plus its adjoint, G the generator table.  Returns rho (D, D) and the
-    (2, D, D) stack (drho_phi, drho_eta), row-major over (mode, spectator).
+    plus its adjoint, shift(G T a) = shift(G) W for the generator table G.
+    Returns rho (D, D) and (drho_phi, drho_eta) as (2, D, D), row-major.
     """
     n_pts = vecs.shape[0]
     spectator = (1,) * (vecs.ndim - 2)
-    w = _shift_rows(vecs).reshape(n_pts, -1)
+    shifted = _shift_rows(vecs)
+    w = shifted.reshape(n_pts, -1)
     w_conj = w.conj()
     drho = np.empty((2, w.shape[1], w.shape[1]), dtype=complex)
-    for out, gens in zip(drho, kraus.generators()):
-        gw = _shift_rows(gens.reshape(gens.shape + spectator) * vecs).reshape(n_pts, -1)
-        b = gw.T @ w_conj
+    for out, gens in zip(drho, kraus.generators(shifted=True)):
+        b = (gens.reshape(gens.shape + spectator) * shifted).reshape(n_pts, -1).T @ w_conj
         np.add(b, b.conj().T, out=out)
     return w.T @ w_conj, drho
+
+
+def _loss_factors(n_max: int, eta: float) -> np.ndarray:
+    """Rows log beta, log g^2, log |d|^2 of the factors of T[m, n] = b_m g_{n-m} d_n.
+
+    beta_m = b_m^2 = (L^2 (1-eta))^m / m!, g_a^2 = (L^2 eta)^a / a!, |d_n|^2 =
+    n! / L^2n, L^2 = N/e, each row shifted so its maximum is E, the mean of the
+    maxima (T is unchanged): products stay below e^2E, and 2E <= 662 confines
+    underflow to terms below 1e-20.  Else InvalidInput names the largest cutoff.
+    """
+    def fit(n):
+        k, log_fact, log_l2 = np.arange(n + 1), _log_factorials(n), math.log(n) - 1.0
+        slopes = (log_l2 + math.log1p(-eta), log_l2 + math.log(eta), -log_l2)
+        logs = np.outer(slopes, k) + np.outer((-1.0, -1.0, 1.0), log_fact)
+        tops = logs.max(axis=1)
+        if 2.0 * tops.mean() > -math.log(np.finfo(float).tiny) - 46.0:
+            return None
+        return logs + (tops.mean() - tops)[:, None]
+
+    if (logs := fit(n_max)) is None:
+        top = bisect.bisect_left(range(1, n_max), True, key=lambda n: fit(n) is None)
+        raise InvalidInput(f"single-mode M fits cutoffs up to {top} at eta={eta}, not {n_max}")
+    return logs
+
+
+def _single_mode_adjoint(y: np.ndarray, z: np.ndarray, kraus: KrausFamily) -> np.ndarray:
+    """sum_m K_m' X_m K_m, X_m = Y + m Z read on its leading (N+1-m) square: on each
+    diagonal k - i a Toeplitz product of beta_m (Y) or m beta_m (Z) with the shifted
+    rows of g g^T X, all in one real matmul, times conj(d_i) d_k."""
+    n = kraus.n_max + 1
+    log_beta, log_g2, log_d2 = _loss_factors(kraus.n_max, kraus.params.eta)
+    k, beta = np.arange(n), np.exp(log_beta)
+    kernels = np.broadcast_to(np.stack([beta, k * beta], axis=-1), (n, n, 2))
+    toeplitz = _shift_rows(kernels, right=True).transpose(1, 0, 2).reshape(n, 2 * n)
+    gx = np.exp(0.5 * (log_g2[:, None] + log_g2))[..., None] * np.stack([y, z], axis=-1)
+    diagonals = _shift_rows(gx).transpose(0, 2, 1).reshape(2 * n, n)
+    sums = (toeplitz @ diagonals.view(float)).view(complex)
+    sums[:, 0] *= 0.5                   # the main diagonal, counted twice below
+    m_mat = _shift_rows(sums * np.exp(1j * kraus.params.phi * k), right=True)
+    m_mat *= np.exp(0.5 * (log_d2[:, None] + log_d2))
+    return m_mat + m_mat.conj().T
 
 
 def apply_channel(probe: FockProbe, kraus: KrausFamily) -> BlockDensity:

@@ -12,7 +12,8 @@ gap max_n g_n - g.p of the gradient g bounds J* - J (Jaggi, ICML 2013).
 
 Single-mode layout: a see-saw alternating two exact maximizations, the SLDs
 as witnesses for the current probe and the top eigenvector of the effective
-operator M for fixed witnesses; neither step lowers the objective.
+operator M for fixed witnesses; neither step lowers the objective.  M is one
+Toeplitz product over lost photons, for cutoffs up to about 2700.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import qfi as _qfi
-from .channel import (ChannelParams, FockProbe, KrausFamily, Scenario,
-                      _single_mode_output, apply_channel,
+from .channel import (ChannelParams, FockProbe, KrausFamily, Scenario, _loss_factors,
+                      _single_mode_adjoint, _single_mode_output, apply_channel,
                       apply_channel_derivatives, block_vectors, build_kraus)
 from .errors import InvalidInput
 from .linalg import hermitianize, solve_sld
@@ -101,9 +102,7 @@ def channel_slds(probe: FockProbe, kraus: KrausFamily):
     form per block).
     """
     if kraus.scenario is Scenario.SINGLE:
-        rho, drho = _single_mode_output(block_vectors(probe, kraus), kraus)
-        l_phi, l_eta = solve_sld(rho, drho)
-        return l_phi, l_eta
+        return tuple(solve_sld(*_single_mode_output(block_vectors(probe, kraus), kraus)))
     rho = apply_channel(probe, kraus)
     dphi, deta = apply_channel_derivatives(probe, kraus)
     l_phi, l_eta = [], []
@@ -136,10 +135,21 @@ def build_m_matrix(probe: FockProbe, slds, kraus: KrausFamily, weights) -> np.nd
     the diagonal derivative generators G of the Kraus family; its Rayleigh
     quotient at the probe equals the weighted witness sum.  The two-mode
     layout takes the witnesses as block lists (one per lost-photon count).
+    Single mode: G is affine in (m, n), so the bracket at output indices
+    (a, b) is Y + m Z, Y = sum_j (2 (conj G_j[0, a] + G_j[0, b]) L_j - L_j^2)
+    / w_j and Z = sum_j 4 Re(G_j[1, 1] - G_j[0, 0]) L_j / w_j, summed over m
+    by channel._single_mode_adjoint.
     """
-    if kraus.scenario is Scenario.SINGLE:
-        return _single_mode_m(slds, kraus, weights)
     n_pts = kraus.n_max + 1
+    if kraus.scenario is Scenario.SINGLE:
+        y, z = np.zeros((2, n_pts, n_pts), dtype=complex)
+        for l_op, gens, w in zip(slds, kraus.generators(), weights):
+            if math.isinf(w):
+                continue
+            h = np.conj(gens[0])[:, None] + gens[0][None, :]
+            y += (2.0 * h * l_op - l_op @ l_op) / w
+            z += 4.0 * (gens[1, 1] - gens[0, 0]).real * l_op / w
+        return _single_mode_adjoint(y, z, kraus)
     m_mat = np.zeros((n_pts, n_pts), dtype=complex)
     for l_blocks, gens, w in zip(slds, kraus.generators(), weights):
         if math.isinf(w):
@@ -149,35 +159,6 @@ def build_m_matrix(probe: FockProbe, slds, kraus: KrausFamily, weights) -> np.nd
             x = 2.0 * np.conj(g)[:, None] * l_b + 2.0 * l_b * g[None, :] - l_b @ l_b
             s = kraus.table[m, m:]
             m_mat[m:, m:] += (np.conj(s)[:, None] * x * s[None, :]) / w
-    return hermitianize(m_mat)
-
-
-def _single_mode_m(slds, kraus: KrausFamily, weights) -> np.ndarray:
-    """M for the single-mode layout, with every witness term built once.
-
-    K_m maps input n to output a = n - m, so block m of M is
-    conj(T_m) T_m^T (entrywise) times the witness term at output indices
-    (a, b): 2 (conj G[m, a+m] + G[m, b+m]) L - L^2.  The generator tables are
-    affine in (m, n), so the bracket is h[a, b] + m s with
-    h = conj G[0, a] + G[0, b] and s = 2 Re(G[1, 1] - G[0, 0]) (0 for phi,
-    -1/(1-eta) for eta); the whole term is Y + m Z with Y and Z summed over
-    the parameters once per call.
-    """
-    n_pts = kraus.n_max + 1
-    y = np.zeros((n_pts, n_pts), dtype=complex)
-    z = np.zeros((n_pts, n_pts), dtype=complex)
-    for l_op, gens, w in zip(slds, kraus.generators(), weights):
-        if math.isinf(w):
-            continue
-        h = np.conj(gens[0])[:, None] + gens[0][None, :]
-        y += (2.0 * h * l_op - l_op @ l_op) / w
-        z += 4.0 * (gens[1, 1] - gens[0, 0]).real * l_op / w
-    m_mat = np.zeros((n_pts, n_pts), dtype=complex)
-    table, table_conj = kraus.table, np.conj(kraus.table)
-    for m in range(n_pts):
-        d = n_pts - m
-        s = table[m, m:]
-        m_mat[m:, m:] += table_conj[m, m:, None] * (y[:d, :d] + m * z[:d, :d]) * s
     return hermitianize(m_mat)
 
 
@@ -341,6 +322,7 @@ def _seesaw(config: IssConfig, kraus: KrausFamily, weights):
     """(coeffs, trace, converged, restart objectives) of the best see-saw
     start; converged when the trailing window is flat to conv_rel_tol."""
     n_pts = kraus.n_max + 1
+    _loss_factors(kraus.n_max, kraus.params.eta)     # no float64 scale: fail before any step
     best = None
     restart_objectives = []
     for k in range(config.restarts):

@@ -33,7 +33,7 @@ class QfiReport:
     i_phieta   -- (1/2) Tr(rho [L_eta, L_phi]), purely imaginary
     w          -- weight matrix used for the scalar bounds (or None)
     c_s        -- Tr(W F^-1)
-    c_h_bar    -- c_s plus the trace-norm incompatibility penalty
+    c_h_bar    -- c_s plus the commutator penalty of hcrb_upper
     pinv       -- covariance-formula reports: whether the point's solves took
                   the pseudo-inverse path (a near-pure output)
     cond       -- covariance-formula reports: the largest condition number
@@ -171,14 +171,13 @@ def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
 
 
 def hcrb_upper(f: np.ndarray, i_phieta: complex, w: np.ndarray) -> float:
-    """Upper bound on the attainable weighted cost: C_S plus a commutator penalty.
+    """C_S plus the commutator penalty |i_phieta| sqrt(det W) / det F.
 
-    The penalty is the largest singular value of sqrt(W) F^-1 I F^-1 sqrt(W)
-    with the antisymmetric matrix I built from the SLD-commutator
-    expectation.  For two parameters that sandwich is det(sqrt(W) F^-1) I,
-    so the penalty is |i_phieta| sqrt(det W) / det F; it vanishes exactly
-    when i_phieta does, and never exceeds C_S, so C_S <= result <= 2 C_S.
-    Pointwise over stacks (..., 2, 2).
+    With gaussian_qfi's i_phieta, the full Tr(rho [L_eta, L_phi]), this is the
+    upper bound on the Holevo bound C_H of Carollo et al. (arXiv:1906.07079).
+    The number-basis i_phieta is (1/2) Tr(rho [L_eta, L_phi]): the result then
+    carries half that penalty and is not proven to bound C_H.  Either way
+    C_S <= result <= 2 C_S.  Pointwise over stacks (..., 2, 2).
     """
     return _scalar_bounds(f, w, i_phieta)[1]
 

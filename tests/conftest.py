@@ -112,6 +112,30 @@ def single_mode_m_matrix(slds, kraus, weights):
     return hermitianize(m_mat)
 
 
+def single_mode_output_three_shift(vecs, kraus):
+    """Single-mode loss action with each of T a, G_phi T a and G_eta T a shifted.
+
+    Row m of a table moves left by m places (zero past N) through index
+    arithmetic; rho = W^T conj(W) and each derivative is shift(G T a)^T conj(W)
+    plus its adjoint, flattened row-major over (mode, spectator axes).
+    """
+    n_pts = vecs.shape[0]
+    spectator = (1,) * (vecs.ndim - 2)
+    m, j = np.indices((n_pts, n_pts))
+    inside = (m + j < n_pts).reshape(m.shape + spectator)
+
+    def shift(table):
+        return np.where(inside, table[m, np.minimum(m + j, n_pts - 1)], 0.0).reshape(n_pts, -1)
+
+    w = shift(vecs)
+    w_conj = w.conj()
+    drho = []
+    for gens in kraus.generators():
+        b = shift(gens.reshape(gens.shape + spectator) * vecs).T @ w_conj
+        drho.append(b + b.conj().T)
+    return w.T @ w_conj, np.array(drho)
+
+
 def two_mode_m_matrix(coeffs, kraus, weights):
     """Two-mode see-saw operator M as one array expression over (m, n).
 

@@ -1,12 +1,19 @@
+import math
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
-from conftest import dense, finite_diff_output, kraus_matrix, kraus_sum_output
-from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
+from conftest import (dense, finite_diff_output, kraus_matrix, kraus_sum_output,
+                      single_mode_output_three_shift)
+from phaseloss.channel import (ChannelParams, FockProbe, Scenario, _loss_factors,
+                               _single_mode_output, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
-                               binomial_loss_coeff, build_kraus)
+                               binomial_loss_coeff, block_vectors, build_kraus)
 from phaseloss.errors import InvalidInput
+from phaseloss.gaussian import (GaussianProbeSpec, ProbeFamily, fock_truncation,
+                                grid_channel_output, mix_modes)
 
 
 def test_binomial_single_photon():
@@ -262,3 +269,59 @@ def test_scenario_mismatch_rejected():
     kraus = build_kraus(ChannelParams(0.0, 0.5, 3), Scenario.TWO)
     with pytest.raises(InvalidInput):
         apply_channel(probe, kraus)
+
+
+@pytest.mark.parametrize("n", [1, 8, 40, 80])
+def test_single_mode_output_shifts_once_bit_identical(n):
+    kraus = build_kraus(ChannelParams(1.1, 0.42, n), Scenario.SINGLE)
+    probe = FockProbe.random(Scenario.SINGLE, n, np.random.default_rng(n))
+    vecs = block_vectors(probe, kraus)
+    rho, drho = _single_mode_output(vecs, kraus)
+    ref_rho, ref_drho = single_mode_output_three_shift(vecs, kraus)
+    np.testing.assert_array_equal(rho, ref_rho)
+    np.testing.assert_array_equal(drho, ref_drho)
+
+
+def test_spectator_grid_output_shifts_once_bit_identical():
+    spec = GaussianProbeSpec(ProbeFamily.TWO_MODE, alpha=1.0, r=0.4, theta=0.0,
+                             theta1=math.pi, theta2=math.pi, chi=math.pi / 4)
+    grid = mix_modes(fock_truncation(spec), spec.tau_in)
+    params = ChannelParams(0.7, 0.35, grid.shape[0] - 1)
+    kraus = build_kraus(params, Scenario.SINGLE)
+    ref_rho, ref_drho = single_mode_output_three_shift(kraus.table[:, :, None] * grid, kraus)
+    rho, drho_phi, drho_eta = grid_channel_output(grid, params)
+    assert grid.shape[1] > 1
+    np.testing.assert_array_equal(rho, ref_rho)
+    np.testing.assert_array_equal(np.array([drho_phi, drho_eta]), ref_drho)
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 10, 80, 200, 500])
+def test_loss_factors_reproduce_the_table(n, eta):
+    # T[m, n] = b_m g_{n-m} d_n with b^2, g^2 and |d|^2 from their log rows
+    phi = 0.9
+    table = build_kraus(ChannelParams(phi, eta, n), Scenario.SINGLE).table
+    log_beta, log_g2, log_d2 = _loss_factors(n, eta)
+    m, k = np.indices(table.shape)
+    inside = k >= m
+    lag = np.where(inside, k - m, 0)
+    prod = np.where(inside, np.exp(0.5 * (log_beta[m] + log_g2[lag] + log_d2[k]) + 1j * phi * k),
+                    0.0)
+    normal = np.abs(table) >= np.finfo(float).tiny
+    assert np.all(np.abs(prod - table)[normal] <= 1e-12 * np.abs(table)[normal])
+    assert np.all(np.abs(prod[~normal]) < 1e-300)
+
+
+@pytest.mark.parametrize("eta", [1e-9, 0.001, 0.5, 0.999])
+def test_loss_factors_name_the_largest_cutoff(eta):
+    # O(N) work per cutoff: the factor rows, never the (N+1)-square operator
+    with pytest.raises(InvalidInput, match=r"up to (\d+) at") as err:
+        _loss_factors(10_000, eta)
+    top = int(re.search(r"up to (\d+) at", str(err.value)).group(1))
+    assert 2690 <= top <= 2720
+    logs = _loss_factors(top, eta)
+    # each row peaks at the same E, and products of two rows stay below e^662
+    np.testing.assert_allclose(logs.max(axis=1), logs.max(), rtol=1e-12)
+    assert 2.0 * logs.max() <= 662.4
+    with pytest.raises(InvalidInput, match=f"up to {top} at"):
+        _loss_factors(top + 1, eta)

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (kraus_matrix, kraus_sum_output, pre_qfi, single_mode_m_matrix,
                       sld_oracle)
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus, probe_statistics)
 from phaseloss.errors import InvalidInput
+from phaseloss import iss
 from phaseloss.iss import IssConfig, build_m_matrix, channel_slds, optimize
 from conftest import two_mode_m_matrix as _fast_m_two_mode
 from phaseloss.linalg import hermitianize
@@ -314,3 +319,59 @@ def test_optimize_rejects_nan_weight(scenario):
     for weights in ({"weight_phi": np.nan}, {"weight_eta": np.nan}):
         with pytest.raises(InvalidInput):
             optimize(IssConfig(**weights), ChannelParams(0.0, 0.5, 4), scenario)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), eta=st.floats(0.01, 0.99),
+       phi=st.floats(-math.pi, math.pi),
+       weights=st.tuples(st.one_of(st.floats(0.1, 10.0), st.just(np.inf)),
+                         st.one_of(st.floats(0.1, 10.0), st.just(np.inf))).filter(
+           lambda w: not all(map(math.isinf, w))))
+def test_single_mode_m_matches_loop_oracle_property(seed, n, eta, phi, weights):
+    kraus = build_kraus(ChannelParams(phi, eta, n), Scenario.SINGLE)
+    probe = FockProbe.random(Scenario.SINGLE, n, np.random.default_rng(seed))
+    slds = channel_slds(probe, kraus)
+    ref = single_mode_m_matrix(slds, kraus, weights)
+    m_mat = build_m_matrix(probe, slds, kraus, weights)
+    assert np.abs(m_mat - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("eta", [0.02, 0.98])
+@pytest.mark.parametrize("n", [200, 500])
+def test_single_mode_m_matches_loop_oracle_large_cutoff(n, eta):
+    # M is linear in witness terms and exact for any Hermitian witnesses, so
+    # random ones stand in for SLDs, whose eigendecomposition would dominate
+    rng = np.random.default_rng(n)
+    kraus = build_kraus(ChannelParams(0.3, eta, n), Scenario.SINGLE)
+    probe = FockProbe.random(Scenario.SINGLE, n, rng)
+    slds = [hermitianize(rng.standard_normal((n + 1, n + 1))
+                         + 1j * rng.standard_normal((n + 1, n + 1))) for _ in range(2)]
+    ref = single_mode_m_matrix(slds, kraus, (1.7, 0.9))
+    m_mat = build_m_matrix(probe, slds, kraus, (1.7, 0.9))
+    assert np.abs(m_mat - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_seesaw_checks_the_cutoff_before_any_step(monkeypatch):
+    def refuse(n_max, eta):
+        raise InvalidInput("no scale")
+
+    def no_step(*args):
+        raise AssertionError("see-saw step ran before the cutoff check")
+
+    monkeypatch.setattr(iss, "_loss_factors", refuse)
+    monkeypatch.setattr(iss, "channel_slds", no_step)
+    with pytest.raises(InvalidInput, match="no scale"):
+        optimize(IssConfig(), ChannelParams(0.0, 0.1, 6), Scenario.SINGLE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seesaw_trajectory_matches_loop_oracle(seed, monkeypatch):
+    # a tight window keeps each start running for 400-500 steps
+    cfg, params = IssConfig(seed=seed, conv_rel_tol=1e-9), ChannelParams(0.0, 0.1, 20)
+    res = optimize(cfg, params, Scenario.SINGLE)
+    monkeypatch.setattr(iss, "build_m_matrix",
+                        lambda probe, slds, kraus, weights: single_mode_m_matrix(
+                            slds, kraus, weights))
+    ref = optimize(cfg, params, Scenario.SINGLE)
+    assert res.iterations == ref.iterations
+    np.testing.assert_allclose(res.objective_trace, ref.objective_trace, rtol=1e-10, atol=0.0)

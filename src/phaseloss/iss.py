@@ -12,8 +12,10 @@ gap max_n g_n - g.p of the gradient g bounds J* - J (Jaggi, ICML 2013).
 
 Single-mode layout: a see-saw alternating two exact maximizations, the SLDs
 as witnesses for the current probe and the top eigenvector of the effective
-operator M for fixed witnesses; neither step lowers the objective.  M is one
-Toeplitz product over lost photons, for cutoffs up to about 2700.
+operator M for fixed witnesses; neither step lowers the objective.  A step
+over-relaxes past the top eigenvector only where that provably does not
+lower it either.  M is one Toeplitz product over lost photons, for cutoffs
+up to about 2700.
 """
 
 from __future__ import annotations
@@ -46,15 +48,20 @@ _NOISE = 1e3 * np.finfo(float).eps
 # |T|^2 below this is set to 0: it moves J and g by under 1e-100 c_phi N^3
 # and keeps the Newton solve out of subnormal arithmetic, which is slow.
 _FLUSH = 1e-100
+# A see-saw step tries top + beta (top - c); beta starts at _EXTRAPOLATE,
+# grows _EXTRAPOLATE_GROWTH-fold per kept trial and restarts after a refusal.
+_EXTRAPOLATE, _EXTRAPOLATE_GROWTH = 1.0, 1.5
 
 
 @dataclass(frozen=True)
 class IssConfig:
     """Optimizer knobs; weights default to the channel optima per parameter.
 
-    ``max_iters`` caps see-saw iterations (single mode) or Newton steps (two
-    mode); ``conv_window``, ``conv_rel_tol``, ``restarts`` and ``seed`` steer
-    only the see-saw, since the two-mode solve stops on its certificate.
+    ``max_iters`` caps see-saw steps, one M eigendecomposition each (single
+    mode; a refused trial adds one SLD solve and M build to its step), or
+    Newton steps (two mode); ``conv_window``, ``conv_rel_tol``, ``restarts``
+    and ``seed`` steer only the see-saw, since the two-mode solve stops on
+    its certificate.
     """
 
     weight_phi: float = None
@@ -320,31 +327,50 @@ def _certified_two_mode(kraus: KrausFamily, weights, max_iters: int):
 
 def _seesaw(config: IssConfig, kraus: KrausFamily, weights):
     """(coeffs, trace, converged, restart objectives) of the best see-saw
-    start; converged when the trailing window is flat to conv_rel_tol."""
+    start; converged when the trailing window is flat to conv_rel_tol.
+
+    A step keeps top + beta (top - c) if J = trial' M trial there is at least
+    its eigenvalue, else top; the next eigenvalue is at least the kept J.
+    """
     n_pts = kraus.n_max + 1
     _loss_factors(kraus.n_max, kraus.params.eta)     # no float64 scale: fail before any step
+
+    def operator(coeffs):
+        probe = FockProbe(kraus.scenario, coeffs)
+        return build_m_matrix(probe, channel_slds(probe, kraus), kraus, weights)
+
     best = None
     restart_objectives = []
     for k in range(config.restarts):
         rng = np.random.default_rng(config.seed + k)
         coeffs = rng.standard_normal(n_pts) + 1j * rng.standard_normal(n_pts)
         coeffs /= np.linalg.norm(coeffs)
-        trace = []
-        converged = False
-        for _ in range(config.max_iters):
-            probe = FockProbe(kraus.scenario, coeffs)
-            slds = channel_slds(probe, kraus)
-            mu, coeffs = _top_eigvec(build_m_matrix(probe, slds, kraus, weights), coeffs)
+        m_mat, beta = operator(coeffs), _EXTRAPOLATE
+        trace, converged = [], False
+        while True:
+            mu, top = _top_eigvec(m_mat, coeffs)
             trace.append(mu)
             if len(trace) >= config.conv_window:
                 window = trace[-config.conv_window:]
                 if max(window) - min(window) <= config.conv_rel_tol * abs(window[-1]):
                     converged = True
                     break
+            if len(trace) == config.max_iters:
+                break
+            overlap = np.vdot(top, coeffs)
+            if overlap != 0.0:
+                top = top * (overlap / abs(overlap))
+            trial = top + beta * (top - coeffs)
+            trial /= np.linalg.norm(trial)
+            m_mat = operator(trial)
+            if np.vdot(trial, m_mat @ trial).real >= mu:
+                coeffs, beta = trial, beta * _EXTRAPOLATE_GROWTH
+            else:
+                coeffs, beta, m_mat = top, _EXTRAPOLATE, operator(top)
         objective = trace[-1]
         restart_objectives.append(objective)
         if best is None or objective > best[0] + 1e-15:
-            best = (objective, coeffs.copy(), np.array(trace), converged)
+            best = (objective, top.copy(), np.array(trace), converged)
     return _gauge_fixed(best[1]), best[2], best[3], restart_objectives
 
 

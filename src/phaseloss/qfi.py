@@ -135,19 +135,21 @@ def _scalar_bounds(f: np.ndarray, w: np.ndarray, i_phieta=None):
 
     C_H_bar is None without ``i_phieta``.  Pointwise over stacks (..., 2, 2);
     raises SingularInformation for the first numerically singular point,
-    with its near-null direction and, for a stack, its flat index.
+    with its near-null direction and, for a stack, its flat index.  The test
+    is scale-free: D^-1 F D^-1, D = sqrt(diag F), has eigenvalues 1 -+ |r|
+    with r the correlation F_12 / sqrt(F_11 F_22).
     """
     f = np.asarray(f, dtype=float)
-    evals, evecs = np.linalg.eigh(f)
-    lo, hi = evals[..., 0], evals[..., -1]
+    f11, f22 = f[..., 0, 0], f[..., 1, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        singular = (lo <= 0) | (hi / lo > 1e12)
+        r = np.abs(f[..., 0, 1]) / (np.sqrt(f11) * np.sqrt(f22))
+        singular = (f11 <= 0) | (f22 <= 0) | (1 - r <= 0) | ((1 + r) / (1 - r) > 1e12)
     if singular.any():
         k = int(np.argmax(singular.reshape(-1)))
-        vals = evals.reshape(-1, 2)[k]
+        vals, vecs = np.linalg.eigh(f.reshape(-1, 2, 2)[k])
         raise SingularInformation(
             "information matrix is numerically singular",
-            direction=evecs.reshape(-1, 2, 2)[k][:, int(np.argmin(np.abs(vals)))],
+            direction=vecs[:, int(np.argmin(np.abs(vals)))],
             index=k if singular.ndim else None)
     f_inv = np.linalg.inv(f)
     w = np.asarray(w, dtype=float)

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 
-from phaseloss.channel import (ChannelParams, Scenario, apply_channel,
+from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
                                build_kraus)
 from phaseloss.gaussian import (GaussianProbeSpec, ProbeFamily, fock_truncation,
                                 grid_channel_output, mix_modes)
+from phaseloss.iss import build_m_matrix, channel_slds
 from phaseloss.linalg import hermitian_eig, hermitianize
 
 
@@ -110,6 +111,30 @@ def single_mode_m_matrix(slds, kraus, weights):
             s = kraus.table[m, m:]
             m_mat[m:, m:] += (np.conj(s)[:, None] * x * s[None, :]) / w
     return hermitianize(m_mat)
+
+
+def plain_seesaw(config, kraus, weights):
+    """(coeffs, trace, converged) of one see-saw start with no extrapolation.
+
+    The first start of IssConfig's seeded draw; each step is the SLD pair at
+    the current probe, M from it and the top eigenvector of M as the next
+    probe, until the trailing window is flat or ``max_iters`` steps.
+    """
+    rng = np.random.default_rng(config.seed)
+    coeffs = rng.standard_normal(kraus.n_max + 1) + 1j * rng.standard_normal(kraus.n_max + 1)
+    coeffs /= np.linalg.norm(coeffs)
+    trace = []
+    for _ in range(config.max_iters):
+        probe = FockProbe(kraus.scenario, coeffs)
+        vals, vecs = np.linalg.eigh(
+            build_m_matrix(probe, channel_slds(probe, kraus), kraus, weights))
+        coeffs = vecs[:, -1]
+        trace.append(float(vals[-1]))
+        window = trace[-config.conv_window:]
+        if (len(window) == config.conv_window
+                and max(window) - min(window) <= config.conv_rel_tol * abs(window[-1])):
+            return coeffs, np.array(trace), True
+    return coeffs, np.array(trace), False
 
 
 def single_mode_output_three_shift(vecs, kraus):

@@ -103,6 +103,16 @@ def test_gaussian_scan_rows_ordered_and_ranged():
     assert float(cross["f_eta_norm"]) > 0.95
 
 
+def test_gaussian_scan_at_vanishing_transmissivity():
+    # at eta = 1e-7 the information entries differ by 13 orders of magnitude
+    # on a well-conditioned matrix: the row is written, not a singular failure
+    code, out, _ = run_cli(["gaussian-scan", "--n", "10000", "--eta", "1e-7", "--chi", "0"])
+    assert code == 0
+    row = read_csv(out)[0]
+    assert 0.5 <= float(row["r_h_bar"]) <= 1.0
+    assert 0.9 < float(row["f_norm"]) <= 1.0 + 1e-6
+
+
 def test_gaussian_scan_strong_squeezing_trend():
     code, out, _ = run_cli(["gaussian-scan", "--n", "100,10000,1000000",
                             "--eta", "0.1", "--chi", "pi/2", "--regime", "sq"])

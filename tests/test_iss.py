@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (kraus_matrix, kraus_sum_output, pre_qfi, single_mode_m_matrix,
-                      sld_oracle)
+from conftest import (kraus_matrix, kraus_sum_output, plain_seesaw, pre_qfi,
+                      single_mode_m_matrix, sld_oracle)
+from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus, probe_statistics)
 from phaseloss.errors import InvalidInput
@@ -140,12 +141,25 @@ def test_eigh_calls_per_solve(monkeypatch):
                method="eigen")
     assert shapes == [(n + 1 - m, n + 1 - m) for m in range(4)]
 
-    def calls_for(iters):
-        shapes.clear()
-        optimize(IssConfig(max_iters=iters, conv_rel_tol=1e-300), params, Scenario.SINGLE)
-        return len(shapes)
+    # a see-saw run: one per SLD pair (first point, trials, refused trials'
+    # fallbacks), one per step's M and one for the final report
+    slds_calls, steps = [], []
 
-    assert calls_for(3) - calls_for(2) == 2
+    def counting_slds(*args):
+        slds_calls.append(args)
+        return channel_slds(*args)
+
+    def counting_top(*args):
+        steps.append(args)
+        return top_eigvec(*args)
+
+    top_eigvec = iss._top_eigvec
+    monkeypatch.setattr(iss, "channel_slds", counting_slds)
+    monkeypatch.setattr(iss, "_top_eigvec", counting_top)
+    shapes.clear()
+    res = optimize(IssConfig(max_iters=50, conv_rel_tol=1e-300), params, Scenario.SINGLE)
+    assert res.iterations == len(steps) == 50
+    assert shapes.count((n + 1, n + 1)) == len(slds_calls) + len(steps) + 1
 
 
 def test_m_matrix_small_system_hand_derived():
@@ -375,3 +389,57 @@ def test_seesaw_trajectory_matches_loop_oracle(seed, monkeypatch):
     ref = optimize(cfg, params, Scenario.SINGLE)
     assert res.iterations == ref.iterations
     np.testing.assert_allclose(res.objective_trace, ref.objective_trace, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seesaw_without_extrapolation_matches_plain_loop(seed, monkeypatch):
+    # beta = 0 makes every trial the top eigenvector itself
+    monkeypatch.setattr(iss, "_EXTRAPOLATE", 0.0)
+    cfg, params = IssConfig(seed=seed, conv_rel_tol=1e-9), ChannelParams(0.0, 0.1, 20)
+    res = optimize(cfg, params, Scenario.SINGLE)
+    lim = fundamental_limits(20, 0.1)
+    coeffs, trace, converged = plain_seesaw(cfg, build_kraus(params, Scenario.SINGLE),
+                                            (lim.f_phi_max_s12, lim.f_eta_max))
+    assert res.iterations == len(trace)
+    assert res.converged == converged
+    np.testing.assert_allclose(res.objective_trace, trace, rtol=1e-10, atol=0.0)
+    assert abs(np.vdot(coeffs, res.probe.coeffs)) == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), eta=st.floats(0.05, 0.95),
+       weights=st.tuples(st.one_of(st.floats(0.1, 10.0), st.just(np.inf)),
+                         st.one_of(st.floats(0.1, 10.0), st.just(np.inf))).filter(
+           lambda w: not all(map(math.isinf, w))))
+def test_seesaw_trace_never_decreases(seed, n, eta, weights):
+    # a refused trial falls back to the plain step, so J only rises; the
+    # slack is eigh rounding, which moves the plain see-saw's trace as much
+    cfg = IssConfig(weight_phi=weights[0], weight_eta=weights[1], max_iters=60,
+                    conv_rel_tol=1e-14, seed=seed)
+    trace = optimize(cfg, ChannelParams(0.0, eta, n), Scenario.SINGLE).objective_trace
+    assert np.all(np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:])))
+
+
+def test_seesaw_keeps_and_refuses_trials(monkeypatch):
+    # every step after the first point solves one trial's SLDs, and every
+    # refused trial one more for its fallback
+    calls = []
+
+    def counting_slds(*args):
+        calls.append(args)
+        return channel_slds(*args)
+
+    monkeypatch.setattr(iss, "channel_slds", counting_slds)
+    res = optimize(IssConfig(conv_rel_tol=1e-9), ChannelParams(0.0, 0.1, 20), Scenario.SINGLE)
+    trials = res.iterations - 1
+    refused = len(calls) - 1 - trials
+    assert 0 < refused < trials
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_seesaw_starts_leave_the_plateau(seed):
+    # without extrapolation these starts stop near 1.4929, 0.4% below the
+    # value every start reaches in a long run
+    cfg = IssConfig(conv_rel_tol=1e-5, seed=seed)
+    res = optimize(cfg, ChannelParams(0.0, 0.1, 80), Scenario.SINGLE)
+    assert res.objective_trace[-1] == pytest.approx(1.4989394, abs=1e-3)

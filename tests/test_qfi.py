@@ -158,6 +158,29 @@ def test_scalar_crb_singular_reports_direction():
     np.testing.assert_allclose(np.abs(direction), [0.0, 1.0], atol=1e-12)
 
 
+def test_scalar_crb_channel_optima_are_not_singular():
+    # F_eta_max / F_phi_max = 1 / (4 eta^2): 2.5e13 at eta = 1e-7, yet the
+    # optima form a diagonal, perfectly conditioned information matrix
+    f = np.array(fundamental_limits(10, 1e-7).weights())
+    assert scalar_crb(f, f) == pytest.approx(2.0, rel=1e-12)
+    assert hcrb_upper(f, 0.0, f) == pytest.approx(2.0, rel=1e-12)
+    rho = 0.5
+    off = rho * np.sqrt(f[0, 0] * f[1, 1])
+    correlated = f + np.array([[0.0, off], [off, 0.0]])
+    assert scalar_crb(correlated, f) == pytest.approx(2.0 / (1 - rho ** 2), rel=1e-12)
+
+
+def test_scalar_crb_rescaled_stack_names_the_singular_point():
+    # a well-conditioned point on disparate scales, then a degenerate one
+    good = np.array(fundamental_limits(10, 1e-7).weights())
+    tied = np.array([[1.0, 1e6], [1e6, 1e12]])         # rank 1 on disparate scales
+    with pytest.raises(SingularInformation) as err:
+        scalar_crb(np.stack([good, good, tied]), np.eye(2))
+    assert err.value.index == 2
+    np.testing.assert_allclose(np.abs(err.value.direction),
+                               np.array([1e6, 1.0]) / np.hypot(1e6, 1.0), atol=1e-12)
+
+
 def test_hcrb_upper_compatible_model():
     f = np.diag([5.0, 2.0])
     w = np.diag([1.0, 3.0])

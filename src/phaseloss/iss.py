@@ -349,7 +349,7 @@ def _seesaw(config: IssConfig, kraus: KrausFamily, weights):
         trace, converged = [], False
         while True:
             mu, top = _top_eigvec(m_mat, coeffs)
-            trace.append(mu)
+            trace.append(max(trace[-1], mu) if trace else mu)    # eigh may round below J
             if len(trace) >= config.conv_window:
                 window = trace[-config.conv_window:]
                 if max(window) - min(window) <= config.conv_rel_tol * abs(window[-1]):

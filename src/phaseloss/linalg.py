@@ -3,7 +3,9 @@
 Everything here works on plain numpy arrays.  Density operators and their
 derivatives are Hermitian by construction elsewhere; these routines enforce
 Hermitian structure where they need it: the eigendecomposition and the
-symmetric logarithmic derivative equation.
+symmetric logarithmic derivative equation.  A low-rank density operator has
+a cheaper spectral route, support_eig: a pivoted Cholesky factor and its
+thin SVD give the eigenpairs on the support alone.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import InvalidInput
+from .errors import InvalidInput, InvalidState
 
 DEFAULT_RANK_TOL = 1e-12
+PSD_TOL = 1e-10
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -42,6 +45,37 @@ def hermitian_eig(h: np.ndarray) -> EigenSystem:
     vals, vecs = npl.eigh(hermitianize(h))
     order = np.argsort(vals)[::-1]
     return EigenSystem(vals[order].copy(), vecs[:, order].copy())
+
+
+def support_eig(rho: np.ndarray) -> EigenSystem:
+    """Eigenpairs of a positive semidefinite matrix on its support.
+
+    A pivoted Cholesky factor gives rho = L L' + S; it stops once the largest
+    residual diagonal is at most D eps of the first pivot, the rounding floor
+    of the residual update (the default of LAPACK's xPSTRF).  The thin
+    SVD L = U s V' then gives the eigenvalues p = s^2, descending, of which
+    those above DEFAULT_RANK_TOL p_0 are kept with their columns of U.  The
+    cost is O(D^2 r) for rank r.  Raises InvalidState when a residual
+    diagonal falls below -PSD_TOL or max|rho - L L'| exceeds PSD_TOL (the
+    latter also catches indefinite remainders of zero diagonal).
+    """
+    rho = np.asarray(rho)
+    if not np.all(np.isfinite(rho)):
+        raise InvalidInput("matrix has non-finite entries")
+    resid = rho.diagonal().real.copy()
+    rows = np.zeros(rho.shape, dtype=complex)      # row k holds column k of L
+    stop, rank = len(resid) * np.finfo(float).eps * resid.max(initial=0.0), 0
+    while rank < len(resid) and resid.max() > stop:
+        j = int(np.argmax(resid))
+        col = (rho[:, j] - rows[:rank].T @ rows[:rank, j].conj()) / np.sqrt(resid[j])
+        rows[rank], rank = col, rank + 1
+        resid -= np.abs(col) ** 2
+    factor = rows[:rank].T
+    if resid.min(initial=0.0) < -PSD_TOL or np.abs(rho - factor @ factor.conj().T).max() > PSD_TOL:
+        raise InvalidState("matrix is not positive semidefinite")
+    u, s, _ = npl.svd(factor, full_matrices=False)
+    keep = s ** 2 > DEFAULT_RANK_TOL * s[:1] ** 2
+    return EigenSystem(s[keep] ** 2, u[:, keep])
 
 
 def sld_eigenbasis(rho_eig: EigenSystem, drho: np.ndarray) -> np.ndarray:

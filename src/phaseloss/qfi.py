@@ -4,7 +4,9 @@ Parameter order is (phi, eta) everywhere; all 2x2 matrices use it.  The
 SLD-commutator expectation reported as ``i_phieta`` is (1/2) Tr(rho [L_eta,
 L_phi]); it is purely imaginary, and with this orientation number-state
 probes alongside a lossless reference satisfy i_phieta = +i F_phiphi /
-(2 eta).
+(2 eta).  Block densities are solved on the support of each block
+(linalg.support_eig), so a channel output of rank r in dimension D costs
+O(D^2 r) rather than a full eigendecomposition.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from . import bounds as _bounds
 from .channel import (BlockDensity, ChannelParams, FockProbe, KrausFamily,
                       Scenario, _single_mode_output, block_vectors, build_kraus)
 from .errors import InvalidInput, InvalidState, SingularInformation
-from .linalg import hermitian_eig, sld_eigenbasis
+from .linalg import support_eig
 
-_PSD_TOL = 1e-10
 _TRACE_TOL = 1e-8
 _BLOCK_FLOOR = 1e-30
 
@@ -66,10 +67,14 @@ def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity
                method: str = "eigen") -> QfiReport:
     """QFI matrix and SLD-commutator expectation of a blockwise state.
 
-    Solves the SLD equation in the eigenbasis of every block, one
-    eigendecomposition per block, and sums Tr(rho A B) there as
-    sum_ab p_a A_ab B_ba.  "eigen" is the only ``method``; two-mode probes
-    have the block-vector route of pure_block_report.
+    Solves the SLD equation in the eigenbasis of every block's support:
+    support_eig gives its eigenvalues p_a > DEFAULT_RANK_TOL p_0 and
+    eigenvectors U, and Tr(rho L_i L_j) is the support sum
+    sum_ab p_a L_ab L_ba, L_ab = 2 (U' d_i U)_ab / (p_a + p_b), plus the
+    support-kernel term 4 sum_a (K_i' K_j)_aa / p_a with K = (1 - U U') d U.
+    The kernel-kernel block contributes nothing.  "eigen" is the only
+    ``method``; two-mode probes have the block-vector route of
+    pure_block_report.
     """
     if method != "eigen":
         raise InvalidInput(f"unknown QFI method {method!r}; block densities are "
@@ -82,15 +87,15 @@ def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity
     for rho_b, dphi_b, deta_b in zip(rho.blocks, drho_phi.blocks, drho_eta.blocks):
         if np.trace(rho_b).real < _BLOCK_FLOOR:
             continue
-        es = hermitian_eig(rho_b)
-        p = es.eigenvalues
-        if p[-1] < -_PSD_TOL:
-            raise InvalidState(f"block has negative eigenvalue {p[-1]}")
-        l_phi = sld_eigenbasis(es, dphi_b)
-        l_eta = sld_eigenbasis(es, deta_b)
-        t[0, 0] += np.einsum("a,ab,ba->", p, l_phi, l_phi)
-        t[1, 1] += np.einsum("a,ab,ba->", p, l_eta, l_eta)
-        t[1, 0] += np.einsum("a,ab,ba->", p, l_eta, l_phi)
+        es = support_eig(rho_b)
+        p, u = es.eigenvalues, es.eigenvectors
+        d_u = [d @ u for d in (dphi_b, deta_b)]                 # d rho U
+        d_s = [u.conj().T @ x for x in d_u]                      # U' d rho U
+        kern = [x - u @ y for x, y in zip(d_u, d_s)]             # (1 - U U') d rho U
+        sld = [2.0 * y / (p[:, None] + p[None, :]) for y in d_s]
+        for i, j in ((0, 0), (1, 1), (1, 0)):
+            t[i, j] += (np.einsum("a,ab,ba->", p, sld[i], sld[j])
+                        + 4.0 * np.einsum("ba,ba->a", kern[i].conj(), kern[j]) @ (1.0 / p))
     f = np.array([[t[0, 0].real, t[1, 0].real], [t[1, 0].real, t[1, 1].real]])
     return QfiReport(f=f, i_phieta=1j * t[1, 0].imag)
 
@@ -217,7 +222,7 @@ def channel_report(probe: FockProbe, params: ChannelParams,
 
     Two-mode probes take the block-vector route of pure_block_report; the
     mixed single-mode output, from the channel's one loss action, is solved
-    in its eigenbasis.  The default weight matrix is diag of the
+    on its support by qfi_matrix.  The default weight matrix is diag of the
     single-parameter channel optima at the probe's photon budget.
     """
     kraus = build_kraus(params, probe.scenario)

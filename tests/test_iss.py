@@ -11,7 +11,7 @@ from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus, probe_statistics)
 from phaseloss.errors import InvalidInput
-from phaseloss import iss
+from phaseloss import iss, qfi
 from phaseloss.iss import IssConfig, build_m_matrix, channel_slds, optimize
 from conftest import two_mode_m_matrix as _fast_m_two_mode
 from phaseloss.linalg import hermitianize
@@ -133,16 +133,26 @@ def test_eigh_calls_per_solve(monkeypatch):
     channel_slds(probe, build_kraus(params, Scenario.SINGLE))
     assert shapes == [(n + 1, n + 1)]
 
-    # |3>|N-3> keeps blocks m = 0..3; blocks 4..N carry no weight
+    # |3>|N-3> keeps blocks m = 0..3; blocks 4..N carry no weight.  QFI
+    # blocks are factored on their support, with no eigendecomposition
+    supports = []
+
+    def counting_support(a):
+        supports.append(np.shape(a))
+        return support_eig(a)
+
+    support_eig = qfi.support_eig
+    monkeypatch.setattr(qfi, "support_eig", counting_support)
     two_mode = FockProbe.fock(Scenario.TWO, 3, n)
     kraus = build_kraus(params, Scenario.TWO)
     shapes.clear()
     qfi_matrix(apply_channel(two_mode, kraus), *apply_channel_derivatives(two_mode, kraus),
                method="eigen")
-    assert shapes == [(n + 1 - m, n + 1 - m) for m in range(4)]
+    assert supports == [(n + 1 - m, n + 1 - m) for m in range(4)]
+    assert shapes == []
 
     # a see-saw run: one per SLD pair (first point, trials, refused trials'
-    # fallbacks), one per step's M and one for the final report
+    # fallbacks) and one per step's M; the final report is one support factor
     slds_calls, steps = [], []
 
     def counting_slds(*args):
@@ -157,9 +167,11 @@ def test_eigh_calls_per_solve(monkeypatch):
     monkeypatch.setattr(iss, "channel_slds", counting_slds)
     monkeypatch.setattr(iss, "_top_eigvec", counting_top)
     shapes.clear()
+    supports.clear()
     res = optimize(IssConfig(max_iters=50, conv_rel_tol=1e-300), params, Scenario.SINGLE)
     assert res.iterations == len(steps) == 50
-    assert shapes.count((n + 1, n + 1)) == len(slds_calls) + len(steps) + 1
+    assert shapes.count((n + 1, n + 1)) == len(slds_calls) + len(steps)
+    assert supports == [(n + 1, n + 1)]
 
 
 def test_m_matrix_small_system_hand_derived():
@@ -443,3 +455,13 @@ def test_seesaw_starts_leave_the_plateau(seed):
     cfg = IssConfig(conv_rel_tol=1e-5, seed=seed)
     res = optimize(cfg, ChannelParams(0.0, 0.1, 80), Scenario.SINGLE)
     assert res.objective_trace[-1] == pytest.approx(1.4989394, abs=1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), eta=st.floats(0.05, 0.95))
+def test_seesaw_trace_never_decreases_exactly(seed, n, eta):
+    # the step's eigenvalue may round below the objective it bounds; the
+    # trace keeps the larger value, as the two-mode solver's does
+    cfg = IssConfig(max_iters=80, conv_rel_tol=1e-14, seed=seed)
+    trace = optimize(cfg, ChannelParams(0.0, eta, n), Scenario.SINGLE).objective_trace
+    assert np.all(np.diff(trace) >= 0)

@@ -3,8 +3,8 @@ import pytest
 
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus)
-from phaseloss.errors import InvalidInput
-from phaseloss.linalg import hermitian_eig, hermitianize, solve_sld
+from phaseloss.errors import InvalidInput, InvalidState
+from phaseloss.linalg import hermitian_eig, hermitianize, solve_sld, support_eig
 
 
 def random_hermitian(rng, dim):
@@ -51,6 +51,26 @@ def test_eig_reconstruction_and_trace():
 def test_eig_rejects_non_finite():
     with pytest.raises(InvalidInput):
         hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_support_eig_matches_eigh_on_the_support():
+    rng = np.random.default_rng(10)
+    for dim, rank in ((1, 1), (6, 2), (12, 5), (9, 9)):
+        a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = a @ a.conj().T
+        es, ref = support_eig(rho), hermitian_eig(rho)
+        assert es.eigenvectors.shape == (dim, rank)
+        np.testing.assert_allclose(es.eigenvalues, ref.eigenvalues[:rank], rtol=1e-12)
+        rebuilt = (es.eigenvectors * es.eigenvalues) @ es.eigenvectors.conj().T
+        np.testing.assert_allclose(rebuilt, rho, atol=1e-12 * np.abs(rho).max())
+
+
+@pytest.mark.parametrize("mat", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1e-9]]],
+                         ids=["zero-diagonal", "negative-diagonal"])
+def test_support_eig_rejects_indefinite(mat):
+    # the zero diagonal leaves no pivot: only the final residual shows it
+    with pytest.raises(InvalidState):
+        support_eig(np.array(mat, dtype=complex))
 
 
 def test_sld_maximally_mixed():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from conftest import (dense, dense_qfi, hcrb_upper_oracle, kraus_sum_output,
 from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (BlockDensity, ChannelParams, ChannelPoints, FockProbe,
                                Scenario, apply_channel, apply_channel_derivatives,
-                               build_kraus)
-from phaseloss.errors import InvalidInput, SingularInformation
-from phaseloss.gaussian import gaussian_qfi, make_probe
+                               build_kraus, probe_statistics)
+from phaseloss.errors import InvalidInput, InvalidState, SingularInformation
+from phaseloss.gaussian import (GaussianProbeSpec, ProbeFamily, fock_truncation, gaussian_qfi,
+                               grid_channel_output, make_probe, mix_modes)
 from phaseloss.qfi import (QfiReport, channel_report, complete_report, hcrb_upper,
                            meas_quantifiers, probe_quantifier, pure_block_report,
                            qfi_matrix, scalar_crb)
@@ -326,3 +329,102 @@ def test_pure_block_report_rejects_single_mode():
     probe = FockProbe.random(Scenario.SINGLE, 4, np.random.default_rng(8))
     with pytest.raises(InvalidInput):
         pure_block_report(probe, build_kraus(ChannelParams(0.0, 0.5, 4), Scenario.SINGLE))
+
+
+def single_block(mat):
+    return BlockDensity(Scenario.SINGLE, mat.shape[0] - 1, [mat])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 40), data=st.data())
+def test_qfi_matrix_on_low_rank_states_matches_dense(seed, dim, data):
+    # rho = A A' / Tr with derivatives X A' + A X': every derivative lives on
+    # the support and the support-kernel blocks, none on the kernel-kernel one
+    rank = data.draw(st.integers(1, dim), label="rank")
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    a = np.linalg.qr(gauss)[0] * rng.uniform(0.2, 1.0, rank)
+    norm = np.sum(np.abs(a) ** 2)
+    rho = a @ a.conj().T / norm
+    derivs = []
+    for _ in range(2):
+        x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        derivs.append((x @ a.conj().T + a @ x.conj().T) / norm)
+    rep = qfi_matrix(*map(single_block, (rho, *derivs)))
+    f_ref, i_ref = dense_qfi(rho, *derivs)
+    scale = np.abs(f_ref).max()
+    np.testing.assert_allclose(rep.f, f_ref, rtol=0.0, atol=1e-9 * scale)
+    assert abs(rep.i_phieta - i_ref) <= 1e-9 * scale
+
+
+# Low-energy Gaussian probes whose truncated two-mode grids stay at or below
+# 250 number states: (family, n_alpha, n_r, theta1, theta2, chi, tau_in, phi, eta)
+GRID_PROBES = (
+    ("single", 1.0, 0.2, 1.0, 0.0, 0.0, 1.0, 0.4, 0.3),
+    ("single", 2.5, 0.3, 2.0, 0.0, 0.0, 1.0, 2.1, 0.7),
+    ("single", 0.5, 0.1, 1.0, 0.0, 0.0, 0.7, 5.0, 0.5),
+    ("two", 1.0, 0.3, 1.0, 2.0, math.pi / 2, 1.0, 1.3, 0.6),
+    ("two", 0.5, 0.1, 1.0, 2.0, 0.0, 0.6, 3.5, 0.2),
+    ("two", 0.2, 0.1, 1.0, 2.0, math.pi / 2, 0.9, 0.8, 0.85),
+)
+
+
+@pytest.mark.parametrize("probe", GRID_PROBES, ids=lambda p: f"{p[0]}-{p[1]}-{p[6]}")
+def test_qfi_matrix_on_gaussian_grid_outputs(probe):
+    family, n_alpha, n_r, theta1, theta2, chi, tau_in, phi, eta = probe
+    fam = ProbeFamily.SINGLE_MODE if family == "single" else ProbeFamily.TWO_MODE
+    per_squeezer = n_r if family == "single" else n_r / 2.0
+    spec = GaussianProbeSpec(fam, alpha=math.sqrt(n_alpha), mu=0.3,
+                             r=math.asinh(math.sqrt(per_squeezer)),
+                             theta=(theta1 + theta2 - math.pi) / 2.0, theta1=theta1,
+                             theta2=theta2, chi=chi, tau_in=tau_in)
+    params = ChannelPoints(phi, eta)
+    grid = mix_modes(fock_truncation(spec), tau_in)
+    assert grid.size <= 250
+    rho, dphi, deta = grid_channel_output(grid, params)
+    rep = qfi_matrix(*map(single_block, (rho, dphi, deta)))
+    f_ref, i_ref = dense_qfi(rho, dphi, deta)
+    scale = np.abs(f_ref).max()
+    np.testing.assert_allclose(rep.f, f_ref, rtol=0.0, atol=1e-9 * scale)
+    assert abs(rep.i_phieta - i_ref) <= 1e-9 * scale
+    f_cov = gaussian_qfi(make_probe(spec), params, tau_in).f
+    np.testing.assert_allclose(rep.f, f_cov, rtol=0.0, atol=1e-6 * np.abs(f_cov).max())
+
+
+def test_qfi_matrix_rejects_indefinite_and_non_finite_blocks():
+    zero = np.zeros((2, 2))
+    with pytest.raises(InvalidState):
+        qfi_matrix(*map(single_block, (np.array([[0.5, 0.6], [0.6, 0.5]]), zero, zero)))
+    with pytest.raises(InvalidInput):
+        qfi_matrix(*map(single_block, (np.array([[0.5, np.nan], [np.nan, 0.5]]), zero, zero)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), eta=st.floats(0.05, 0.95))
+def test_two_mode_information_dominates_single_mode(seed, n, eta):
+    # projecting the reference mode onto Fourier states turns the two-mode
+    # output into equal-weight phase-rotated copies of the single-mode one,
+    # a processing that cannot raise the information: F_two - F_single >= 0
+    rng = np.random.default_rng(seed)
+    coeffs = FockProbe.random(Scenario.SINGLE, n, rng).coeffs
+    params = ChannelParams(float(rng.uniform(-np.pi, np.pi)), eta, n)
+    f_single = channel_report(FockProbe(Scenario.SINGLE, coeffs), params).f
+    f_two = channel_report(FockProbe(Scenario.TWO, coeffs), params).f
+    assert np.linalg.eigvalsh(f_two - f_single).min() >= -1e-10 * np.abs(f_two).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), eta=st.floats(0.05, 0.95))
+def test_single_mode_information_within_channel_bounds(seed, n, eta):
+    # at mean photon number nbar: F_phiphi <= 4 eta nbar / (1 - eta) and
+    # F_etaeta <= nbar / (eta (1 - eta)), the second attained by Fock states
+    rng = np.random.default_rng(seed)
+    params = ChannelParams(float(rng.uniform(-np.pi, np.pi)), eta, n)
+    probe = FockProbe.random(Scenario.SINGLE, n, rng)
+    nbar = probe_statistics(probe)[0]
+    f = channel_report(probe, params).f
+    assert f[0, 0] <= 4 * eta * nbar / (1 - eta) * (1 + 1e-10)
+    assert f[1, 1] <= nbar / (eta * (1 - eta)) * (1 + 1e-10)
+    k = int(rng.integers(0, n + 1))
+    f_fock = channel_report(FockProbe.fock(Scenario.SINGLE, k, n), params).f
+    assert f_fock[1, 1] == pytest.approx(k / (eta * (1 - eta)), rel=1e-10, abs=1e-12)

@@ -18,8 +18,8 @@ from .gaussian import (EnergySplit, EvolvedGaussian, GaussianProbeSpec,
                        photon_moments, spec_from_split)
 from .iss import IssConfig, IssResult, build_m_matrix, channel_slds, optimize
 from .linalg import EigenSystem, hermitian_eig, hermitianize, solve_sld
-from .measurement import (DetectionScheme, MomentSet, SchemeKind,
-                          counting_moments, error_propagation,
+from .measurement import (BlockDiagonals, DetectionScheme, MomentSet, SchemeKind,
+                          block_diagonals, counting_moments, error_propagation,
                           half_photon_counting, homodyne_moments,
                           output_transform, scheme_incompatibility)
 from .qfi import (QfiReport, channel_report, complete_report, hcrb_upper,

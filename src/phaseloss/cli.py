@@ -23,8 +23,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import measurement as meas
-from .channel import (ChannelParams, ChannelPoints, Scenario, apply_channel,
-                      apply_channel_derivatives, build_kraus, probe_statistics)
+from .channel import ChannelParams, ChannelPoints, Scenario, build_kraus, probe_statistics
 from .errors import (DegenerateChannel, InvalidInput, InvalidState,
                      SingularInformation, Unsupported)
 from .iss import IssConfig, optimize
@@ -450,7 +449,8 @@ def _measure_gaussian(args, kind, chi, points):
 
 def _measure_fock(args, kind, points):
     """Number-basis rows in order; each distinct (n, eta) is optimized once,
-    by the first row that needs it."""
+    by the first row that needs it, and its output is kept as the block
+    diagonals that counting reads, O(N^2) numbers."""
     fock_outputs = {}
     rows = []
     for n, eta, tau_out, xi in points:
@@ -466,11 +466,10 @@ def _measure_fock(args, kind, points):
             params = ChannelParams(0.0, eta, n)
             result = optimize(IssConfig(), params, Scenario.TWO)
             kraus = build_kraus(params, Scenario.TWO)
-            fock_outputs[(n, eta)] = (apply_channel(result.probe, kraus),
-                                      *apply_channel_derivatives(result.probe, kraus),
+            fock_outputs[(n, eta)] = (meas.block_diagonals(result.probe, kraus),
                                       result.final_qfi)
-        rho, dphi, deta, rep = fock_outputs[(n, eta)]
-        moments = meas.counting_moments(rho, scheme, dphi, deta)
+        diags, rep = fock_outputs[(n, eta)]
+        moments = meas.counting_moments(diags, scheme)
         var_phi, var_eta = meas.error_propagation(moments)
         _progress(f"measure n={n} eta={eta} tau_out={tau_out} xi={xi:.3f}")
         row.update(_readout_columns(var_phi, var_eta, rep.c_s, rep.c_h_bar, lim))

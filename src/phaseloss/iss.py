@@ -48,6 +48,9 @@ _NOISE = 1e3 * np.finfo(float).eps
 # |T|^2 below this is set to 0: it moves J and g by under 1e-100 c_phi N^3
 # and keeps the Newton solve out of subnormal arithmetic, which is slow.
 _FLUSH = 1e-100
+# A population whose g_n lies below J by more than _PRUNE * max(1, J), far
+# beyond the certified gap, is off the support of the optimum (KKT).
+_PRUNE = 1e-8
 # A see-saw step tries top + beta (top - c); beta starts at _EXTRAPOLATE,
 # grows _EXTRAPOLATE_GROWTH-fold per kept trial and restarts after a refusal.
 _EXTRAPOLATE, _EXTRAPOLATE_GROWTH = 1.0, 1.5
@@ -283,12 +286,34 @@ def _polish(p, state, e, b, coef):
     return None
 
 
+def _prune(p, state, b, coef):
+    """p with its off-support barrier residue set to exactly zero, or None.
+
+    At a certified point the barrier leaves p_n of order mu / (J - g_n) where
+    KKT puts zero (g_n < J off the support).  Each p_n with g_n below
+    J - _PRUNE max(1, J) is zeroed and the rest renormalized; the result
+    stands if it is still certified and J fell by no more than rounding.
+    """
+    j, g = state[0], state[1]
+    off = g < j - _PRUNE * max(1.0, j)
+    if not off.any() or not _certified(g.max() - j, j):
+        return None
+    trial = np.where(off, 0.0, p)
+    trial /= trial.sum()
+    out = _population_objective(trial, b, coef)
+    j_t, g_t = out[0], out[1]
+    if j_t >= j - _NOISE * max(1.0, abs(j)) and _certified(g_t.max() - j_t, j_t):
+        return trial, out
+    return None
+
+
 def _certified_two_mode(kraus: KrausFamily, weights, max_iters: int):
     """Maximize J over two-mode populations; returns (p, trace, gap, steps).
 
     Path following from the uniform populations; stops once mu is at
     _MU_STOP with the gap certified, when neither a line-search step nor the
-    polish step qualifies there, or after ``max_iters`` Newton steps.
+    polish step qualifies there, or after ``max_iters`` Newton steps.  A
+    certified end point then drops its barrier residue (_prune).
     """
     eta = kraus.params.eta
     w_phi, w_eta = weights
@@ -321,6 +346,9 @@ def _certified_two_mode(kraus: KrausFamily, weights, max_iters: int):
         # a step proven not to lower J (see _line_search) may still round
         # it down by an ulp, and a polish step may lower it by rounding; the
         # trace keeps the larger value
+        trace.append(max(trace[-1], state[0]))
+    if (pruned := _prune(p, state, b, coef)) is not None:
+        p, state = pruned
         trace.append(max(trace[-1], state[0]))
     return p, trace, float(state[1].max() - state[0]), steps
 

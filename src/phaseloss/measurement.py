@@ -20,7 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import BlockDensity, ChannelPoints, Scenario
+from .channel import (BlockDensity, ChannelPoints, FockProbe, KrausFamily, Scenario,
+                      block_vectors)
 from .errors import InvalidInput, Unsupported
 from .gaussian import (EnergySplit, EvolvedGaussian, ProbeFamily, _matvec,
                        evolve_with_derivatives, make_probe, mode_unitary,
@@ -116,46 +117,115 @@ def _gaussian_number_moments(ev: EvolvedGaussian) -> MomentSet:
     )
 
 
+@dataclass(frozen=True)
+class BlockDiagonals:
+    """The block diagonals that two-mode counting reads, of an output and of
+    its (phi, eta) derivatives: the real part of each block's main diagonal,
+    the imaginary part of its first and the real part of its second.
+
+    ``main``, ``first`` and ``second`` are (3, L_j) float arrays for
+    diagonals j = 0, 1, 2, rows rho, drho_phi and drho_eta; entries run over
+    lost photons m and then over k = 0..N-m-j within block m.
+    """
+
+    n_max: int
+    main: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+
+
+# (diagonal, the part of it counting reads)
+_READ = ((0, np.real), (1, np.imag), (2, np.real))
+
+
+def _diagonal_index(n_max: int, j: int):
+    """(m, k) of each entry of diagonal j of the two-mode blocks, in the
+    order of BlockDiagonals: block m holds k = 0..N-m-j."""
+    sizes = np.maximum(n_max + 1 - j - np.arange(n_max + 1), 0)
+    m = np.repeat(np.arange(n_max + 1), sizes)
+    k = np.arange(m.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return m, k
+
+
+def block_diagonals(probe: FockProbe, kraus: KrausFamily) -> BlockDiagonals:
+    """BlockDiagonals of a two-mode probe's output, read from its block vectors.
+
+    Block m is psi_m psi_m' with psi = T * c, so its diagonal j is
+    psi[m, n] conj(psi[m, n + j]) on n >= m, and a derivative block
+    (G psi_m) psi_m' + h.c. has (G psi)_n conj(psi_{n+j}) + psi_n
+    conj((G psi)_{n+j}), G from ``kraus.generators()``.  O(N^2) work and
+    memory; no block is formed.
+    """
+    if kraus.scenario is not Scenario.TWO:
+        raise InvalidInput("block diagonals need the two-mode layout")
+    psi = block_vectors(probe, kraus)
+    g_psi = [g * psi for g in kraus.generators()]
+    parts = []
+    for j, part in _READ:
+        m, k = _diagonal_index(kraus.n_max, j)
+        at, right = (m, m + k), (m, m + k + j)
+        v, v_right = psi[at], psi[right].conj()
+        parts.append(np.array([part(v * v_right)] + [
+            part(gv[at] * v_right + v * gv[right].conj()) for gv in g_psi]))
+    return BlockDiagonals(kraus.n_max, *parts)
+
+
+def _density_diagonals(densities) -> BlockDiagonals:
+    """BlockDiagonals of two-mode BlockDensity objects (rho, drho_phi, drho_eta)."""
+    return BlockDiagonals(densities[0].n_max, *(
+        np.array([part(np.concatenate([b.diagonal(j) for b in d.blocks])) for d in densities])
+        for j, part in _READ))
+
+
+def _two_mode_counting(tau: float, diags: BlockDiagonals) -> MomentSet:
+    """Counting moments of a two-mode output from its flat block diagonals.
+
+    Block m (t = N - m photons, basis k = n1): S = t, and the splitter
+    exp(-2i theta Jx), cos(theta)^2 = tau, turns D = 2 Jz into
+    D' = cos 2theta D + sin 2theta Y with Y = 2 Jy, <k+1|Y|k> = -i c_k,
+    c_k = sqrt((k + 1)(t - k)).  Every trace of a Hermitian block against
+    D, Y, D^2, Y^2 (diagonal 2k(t - k) + t, second diagonal -c_k c_{k+1})
+    or DY + YD reads its main, first and second diagonals, so each of
+    <S>, <D'>, <S^2>, <S D'> and <D'^2> is one dot product per diagonal
+    with a weight array over all blocks.
+    """
+    cos2, sin2 = 2.0 * tau - 1.0, 2.0 * math.sqrt(tau * (1.0 - tau))
+    (m0, k0), (m1, k1), (m2, k2) = (_diagonal_index(diags.n_max, j) for j in range(3))
+    t0, t1, t2 = ((diags.n_max - m).astype(float) for m in (m0, m1, m2))
+    d = 2.0 * k0 - t0
+    y = 2.0 * sin2 * np.sqrt((k1 + 1.0) * (t1 - k1))     # 2 sin 2theta c_k
+    # <S>, <D'>, <S^2>, <S D'>, <D'^2> from the main diagonal; <D'>, <S D'>
+    # and <D'^2> from the first; <D'^2> from the second
+    sums = diags.main @ np.array([t0, cos2 * d, t0 * t0, cos2 * t0 * d,
+                                  cos2 ** 2 * (d * d)
+                                  + sin2 ** 2 * (2.0 * k0 * (t0 - k0) + t0)]).T
+    sums[:, [1, 3, 4]] += diags.first @ np.array([y, t1 * y,
+                                                  cos2 * (4.0 * k1 + 2.0 - 2.0 * t1) * y]).T
+    sums[:, 4] -= diags.second @ (2.0 * sin2 ** 2 * np.sqrt((k2 + 1.0) * (t2 - k2))
+                                  * np.sqrt((k2 + 2.0) * (t2 - k2 - 1.0)))
+    (s, dp, ss, sd, dd), dphi, deta = sums
+    return MomentSet(means=np.array([s, dp]), dphi=dphi[:2], deta=deta[:2],
+                     cov=np.array([[ss - s * s, sd - s * dp], [sd - s * dp, dd - dp * dp]]))
+
+
 def _fock_counting_moments(tau: float, rho: BlockDensity, drho_phi: BlockDensity,
                            drho_eta: BlockDensity) -> MomentSet:
     """Sum/difference counting moments of a number-basis output and its
     derivatives behind the detection splitter, read off block diagonals.
 
-    Single mode: S = D = n1, read from the diagonal.  Two mode, block m
-    (t = N - m photons, basis k = n1): S = t, and the splitter
-    exp(-2i theta Jx), cos(theta)^2 = tau, turns D = 2 Jz into
-    D' = cos 2theta D + sin 2theta Y with Y = 2 Jy, <k+1|Y|k> = -i c_k,
-    c_k = sqrt((k + 1)(t - k)).  Every trace of a Hermitian block against
-    D, Y, D^2, Y^2 (diagonal 2k(t - k) + t, second diagonal -c_k c_{k+1})
-    or DY + YD reads its main, first and second diagonals.
+    Single mode: S = D = n1, read from the diagonal.  Two mode: the flat
+    diagonals 0, 1 and 2 of all blocks go to _two_mode_counting, the kernel
+    that block_diagonals also feeds.
     """
     densities = (rho, drho_phi, drho_eta)
-    n_max = rho.n_max
     if rho.scenario is Scenario.SINGLE:
-        k = np.arange(n_max + 1.0)
+        k = np.arange(rho.n_max + 1.0)
         p = np.array([d.blocks[0].diagonal().real for d in densities])
         n1 = p @ k
         var = p[0] @ (k * k) - n1[0] ** 2
         return MomentSet(means=np.full(2, n1[0]), dphi=np.full(2, n1[1]),
                          deta=np.full(2, n1[2]), cov=np.full((2, 2), var))
-    cos2, sin2 = 2.0 * tau - 1.0, 2.0 * math.sqrt(tau * (1.0 - tau))
-    sums = np.zeros((3, 5))     # per density: <S>, <D'>, <S^2>, <S D'>, <D'^2>
-    for m, blocks in enumerate(zip(*(d.blocks for d in densities))):
-        t = n_max - m
-        k = np.arange(t + 1.0)
-        d = 2.0 * k - t
-        c = np.sqrt((k[:-1] + 1.0) * (t - k[:-1]))
-        for out, b in zip(sums, blocks):
-            p, y, w = b.diagonal().real, b.diagonal(1).imag, b.diagonal(2).real
-            tr = p.sum()
-            diff = cos2 * (d @ p) + 2.0 * sin2 * (c @ y)
-            diff2 = (cos2 ** 2 * ((d * d) @ p)
-                     + sin2 ** 2 * ((2.0 * k * (t - k) + t) @ p - 2.0 * ((c[:-1] * c[1:]) @ w))
-                     + 2.0 * cos2 * sin2 * (((d[:-1] + d[1:]) * c) @ y))
-            out += (t * tr, diff, t * t * tr, t * diff, diff2)
-    (s, dp, ss, sd, dd), dphi, deta = sums
-    return MomentSet(means=np.array([s, dp]), dphi=dphi[:2], deta=deta[:2],
-                     cov=np.array([[ss - s * s, sd - s * dp], [sd - s * dp, dd - dp * dp]]))
+    return _two_mode_counting(tau, _density_diagonals(densities))
 
 
 def counting_moments(state, scheme: DetectionScheme,
@@ -163,12 +233,17 @@ def counting_moments(state, scheme: DetectionScheme,
                      drho_eta: BlockDensity = None) -> MomentSet:
     """Photon-number sum/difference moments behind the output splitter.
 
-    ``state`` is either an EvolvedGaussian or a BlockDensity; the latter
-    needs the matching derivative densities, in the state's layout, and is
-    read off three block diagonals with no sector unitary.
+    ``state`` is an EvolvedGaussian, a BlockDensity or the BlockDiagonals
+    of ``block_diagonals``.  A BlockDensity needs the matching derivative
+    densities, in the state's layout.  Number-basis outputs are read off
+    three block diagonals with no sector unitary; BlockDiagonals carry
+    their derivatives and take O(N^2) memory where two-mode blocks take
+    O(N^3).
     """
     if isinstance(state, EvolvedGaussian):
         return _gaussian_number_moments(output_transform(scheme, state))
+    if isinstance(state, BlockDiagonals):
+        return _two_mode_counting(scheme.tau_out, state)
     if isinstance(state, BlockDensity):
         if drho_phi is None or drho_eta is None:
             raise InvalidInput("number-basis counting needs the derivative densities")

@@ -235,12 +235,15 @@ def dense_qfi(rho, drho_phi, drho_eta, rank_tol=1e-12):
         out[mask] = 2.0 * de[mask] / den[mask]
         return out
 
+    def trace(l_i, l_j):
+        # Tr(rho L_i L_j) in the eigenbasis of rho: sum_ab p_a (L_i)_ab (L_j)_ba
+        return np.sum(p[:, None] * l_i * l_j.T)
+
     l_phi, l_eta = sld(drho_phi), sld(drho_eta)
-    rho_e = np.diag(p).astype(complex)
     f = np.zeros((2, 2))
-    f[0, 0] = np.trace(rho_e @ l_phi @ l_phi).real
-    f[1, 1] = np.trace(rho_e @ l_eta @ l_eta).real
-    t = np.trace(rho_e @ l_eta @ l_phi)
+    f[0, 0] = trace(l_phi, l_phi).real
+    f[1, 1] = trace(l_eta, l_eta).real
+    t = trace(l_eta, l_phi)
     f[0, 1] = f[1, 0] = t.real
     return f, 1j * t.imag
 
@@ -449,6 +452,32 @@ def counting_moments_oracle(evolved, tau_out):
                       [number_cov(0, 1), number_cov(1, 1)]])
     return (to_pm @ means_n, to_pm @ dn(dsig_phi, dd_phi), to_pm @ dn(dsig_eta, dd_eta),
             to_pm @ cov_n @ to_pm.T)
+
+
+def block_loop_counting_oracle(rho, drho_phi, drho_eta, tau_out):
+    """(means, dphi, deta, cov) of the detector sum and difference of a
+    two-mode number-basis output, by a loop over its blocks that reads the
+    main, first and second diagonals of each (the closed forms of
+    measurement._two_mode_counting, block by block)."""
+    n_max = rho.n_max
+    cos2, sin2 = 2.0 * tau_out - 1.0, 2.0 * math.sqrt(tau_out * (1.0 - tau_out))
+    sums = np.zeros((3, 5))     # per density: <S>, <D'>, <S^2>, <S D'>, <D'^2>
+    for m, blocks in enumerate(zip(rho.blocks, drho_phi.blocks, drho_eta.blocks)):
+        t = n_max - m
+        k = np.arange(t + 1.0)
+        d = 2.0 * k - t
+        c = np.sqrt((k[:-1] + 1.0) * (t - k[:-1]))
+        for out, b in zip(sums, blocks):
+            p, y, w = b.diagonal().real, b.diagonal(1).imag, b.diagonal(2).real
+            tr = p.sum()
+            diff = cos2 * (d @ p) + 2.0 * sin2 * (c @ y)
+            diff2 = (cos2 ** 2 * ((d * d) @ p)
+                     + sin2 ** 2 * ((2.0 * k * (t - k) + t) @ p - 2.0 * ((c[:-1] * c[1:]) @ w))
+                     + 2.0 * cos2 * sin2 * (((d[:-1] + d[1:]) * c) @ y))
+            out += (t * tr, diff, t * t * tr, t * diff, diff2)
+    (s, dp, ss, sd, dd), dphi, deta = sums
+    return (np.array([s, dp]), dphi[:2], deta[:2],
+            np.array([[ss - s * s, sd - s * dp], [sd - s * dp, dd - dp * dp]]))
 
 
 def fock_counting_oracle(rho, drho_phi, drho_eta, tau_out):

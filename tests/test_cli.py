@@ -2,14 +2,17 @@ import csv
 import io
 import json
 import math
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import phaseloss.channel
 import phaseloss.cli
 import phaseloss.gaussian
+import phaseloss.measurement
 from conftest import (counting_moments_oracle, error_propagation_oracle,
                       evolve_oracle, gaussian_qfi_oracle, homodyne_moments_oracle)
 from phaseloss.bounds import fundamental_limits
@@ -324,6 +327,42 @@ def test_explicit_flag_equal_to_default_overrides_config_file(tmp_path):
                             "--format", "json"])
     assert code == 0
     assert json.loads(out)["meta"]["seed"] == 0
+
+
+def test_measure_fock_reads_block_vectors_not_block_densities(monkeypatch):
+    argv = ["measure", "--n", "1,4,9", "--eta", "0.3,0.7", "--scheme", "counting",
+            "--probe", "fock", "--tau-out", "0,0.4,1"]
+    apply_channel = phaseloss.channel.apply_channel
+    apply_derivatives = phaseloss.channel.apply_channel_derivatives
+    counting = phaseloss.measurement.counting_moments
+    # reference: the same probes read from their two-mode block densities
+    monkeypatch.setattr(phaseloss.measurement, "block_diagonals", lambda probe, kraus: (
+        apply_channel(probe, kraus), *apply_derivatives(probe, kraus)))
+    monkeypatch.setattr(phaseloss.measurement, "counting_moments",
+                        lambda state, scheme: counting(state[0], scheme, *state[1:]))
+    code, want, _ = run_cli(argv)
+    assert code == 0
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure --probe fock formed a block density")
+
+    for key, module in list(sys.modules.items()):
+        for name in ("apply_channel", "apply_channel_derivatives"):
+            if key.split(".")[0] == "phaseloss" and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    code, got, _ = run_cli(argv)
+    assert code == 0
+    assert got == want
+
+
+def test_measure_fock_barrier_residue_reads_no_phase_signal():
+    # the optima at eta = 0.7 (supports {0, 4} and {6, 16, 30}) carry no
+    # counting phase signal; barrier residue off the support once read as one
+    code, out, _ = run_cli(["measure", "--n", "4,30", "--eta", "0.7", "--scheme", "counting",
+                            "--probe", "fock", "--tau-out", "0.25,0.5"])
+    assert code == 0
+    assert [r["var_phi_fmax"] for r in read_csv(out)] == ["inf"] * 4
 
 
 def test_measure_fock_optimizes_each_point_once(monkeypatch):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phaseloss.channel
-from conftest import fock_counting_oracle
+from conftest import block_loop_counting_oracle, fock_counting_oracle
 from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (BlockDensity, ChannelParams, ChannelPoints, FockProbe,
                                Scenario, apply_channel, apply_channel_derivatives,
@@ -14,7 +16,7 @@ from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily,
                                 evolve_with_derivatives, gaussian_qfi, make_probe,
                                 spec_from_split)
 from phaseloss.measurement import (DetectionScheme, MomentSet, SchemeKind,
-                                   counting_moments, error_propagation,
+                                   block_diagonals, counting_moments, error_propagation,
                                    half_photon_counting, homodyne_moments,
                                    output_transform, scheme_incompatibility)
 
@@ -126,6 +128,32 @@ def test_fock_counting_matches_sector_rotation_oracle(scenario, n):
                              oracle):
             scale = max(float(np.abs(want).max()), 1.0)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), eta=st.floats(0.01, 0.99),
+       tau=st.floats(0.0, 1.0))
+@example(seed=0, n=1, eta=0.5, tau=0.3)       # no block has a second diagonal
+def test_counting_kernel_matches_block_loop_through_both_feeders(seed, n, eta, tau):
+    rng = np.random.default_rng(seed)
+    probe = FockProbe.random(Scenario.TWO, n, rng)
+    params = ChannelParams(float(rng.uniform(-math.pi, math.pi)), eta, n)
+    rho, dphi, deta = fock_output(probe, params)
+    scheme = DetectionScheme(SchemeKind.COUNTING, tau_out=tau)
+    want = block_loop_counting_oracle(rho, dphi, deta, tau)
+    from_blocks = counting_moments(rho, scheme, dphi, deta)
+    from_vectors = counting_moments(block_diagonals(probe, build_kraus(params, Scenario.TWO)),
+                                    scheme)
+    for moments in (from_blocks, from_vectors):
+        for got, ref in zip((moments.means, moments.dphi, moments.deta, moments.cov), want):
+            scale = max(float(np.abs(ref).max()), 1.0)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_block_diagonals_need_two_mode_layout():
+    probe = FockProbe.fock(Scenario.SINGLE, 1, 3)
+    with pytest.raises(InvalidInput):
+        block_diagonals(probe, build_kraus(ChannelParams(0.0, 0.5, 3), Scenario.SINGLE))
 
 
 def test_fock_counting_rejects_mismatched_derivatives():

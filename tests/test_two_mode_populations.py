@@ -61,3 +61,13 @@ def test_objective_concave_along_chords(seed, n, eta, lam):
 
     chord = lam * objective(x) + (1.0 - lam) * objective(y)
     assert objective(lam * x + (1.0 - lam) * y) >= chord - 1e-12 * max(1.0, chord)
+
+
+def test_certified_optimum_carries_no_barrier_residue():
+    # N = 30, eta = 0.7: the optimum's support is {6, 16, 30}; the barrier
+    # leaves populations of order 1e-12 elsewhere until they are pruned
+    res = optimize(IssConfig(), ChannelParams(0.0, 0.7, 30), Scenario.TWO)
+    p = np.abs(res.probe.coeffs) ** 2
+    assert np.flatnonzero(p).tolist() == [6, 16, 30]
+    assert res.converged
+    assert 0.0 <= res.gap <= 1e-10 * res.objective_trace[-1]

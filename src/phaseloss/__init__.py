@@ -17,7 +17,7 @@ from .gaussian import (EnergySplit, EvolvedGaussian, GaussianProbeSpec,
                        fock_truncation, gaussian_qfi, make_probe, mix_modes,
                        photon_moments, spec_from_split)
 from .iss import IssConfig, IssResult, build_m_matrix, channel_slds, optimize
-from .linalg import EigenSystem, hermitian_eig, hermitianize, solve_sld
+from .linalg import hermitianize, solve_sld
 from .measurement import (BlockDiagonals, DetectionScheme, MomentSet, SchemeKind,
                           block_diagonals, counting_moments, error_propagation,
                           half_photon_counting, homodyne_moments,

@@ -297,7 +297,9 @@ def apply_channel(probe: FockProbe, kraus: KrausFamily) -> BlockDensity:
     """Channel output: dense matrix (single mode) or orthogonal blocks (two mode).
 
     The single-mode output sum_m (K_m c)(K_m c)' is W^T conj(W) with W the
-    shifted table of post-loss vectors.
+    shifted table of post-loss vectors.  The library reads two-mode outputs
+    from their block vectors, so only the benchmark under perfbench/ and the
+    tests call the two-mode branch.
     """
     vecs = block_vectors(probe, kraus)
     n_max = kraus.n_max
@@ -313,7 +315,8 @@ def apply_channel_derivatives(probe: FockProbe, kraus: KrausFamily):
 
     Each block is (G K_m c)(K_m c)' + h.c. with the generator tables of the
     family, so per-block results stay rank <= 2.  The single-mode sum over m
-    is the loss action of _single_mode_output.
+    is the loss action of _single_mode_output.  As for apply_channel, only
+    the benchmark under perfbench/ and the tests call the two-mode branch.
     """
     vecs = block_vectors(probe, kraus)
     n_max = kraus.n_max

@@ -28,8 +28,8 @@ import numpy as np
 from . import bounds as _bounds
 from . import qfi as _qfi
 from .channel import (ChannelParams, FockProbe, KrausFamily, Scenario, _loss_factors,
-                      _single_mode_adjoint, _single_mode_output, apply_channel,
-                      apply_channel_derivatives, block_vectors, build_kraus)
+                      _single_mode_adjoint, _single_mode_output, block_vectors,
+                      build_kraus)
 from .errors import InvalidInput
 from .linalg import hermitianize, solve_sld
 
@@ -51,6 +51,9 @@ _FLUSH = 1e-100
 # A population whose g_n lies below J by more than _PRUNE * max(1, J), far
 # beyond the certified gap, is off the support of the optimum (KKT).
 _PRUNE = 1e-8
+# The see-saw has converged when its last CONV_WINDOW objectives agree to
+# conv_rel_tol.
+CONV_WINDOW = 5
 # A see-saw step tries top + beta (top - c); beta starts at _EXTRAPOLATE,
 # grows _EXTRAPOLATE_GROWTH-fold per kept trial and restarts after a refusal.
 _EXTRAPOLATE, _EXTRAPOLATE_GROWTH = 1.0, 1.5
@@ -62,22 +65,21 @@ class IssConfig:
 
     ``max_iters`` caps see-saw steps, one M eigendecomposition each (single
     mode; a refused trial adds one SLD solve and M build to its step), or
-    Newton steps (two mode); ``conv_window``, ``conv_rel_tol``, ``restarts``
-    and ``seed`` steer only the see-saw, since the two-mode solve stops on
-    its certificate.
+    Newton steps (two mode); ``conv_rel_tol``, ``restarts`` and ``seed``
+    steer only the see-saw, since the two-mode solve stops on its
+    certificate.
     """
 
     weight_phi: float = None
     weight_eta: float = None
     max_iters: int = 500
-    conv_window: int = 5
     conv_rel_tol: float = 1e-3
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.conv_window < 2 or not 0 < self.conv_rel_tol < math.inf:
-            raise InvalidInput("need conv_window >= 2 and a finite conv_rel_tol > 0")
+        if not 0 < self.conv_rel_tol < math.inf:
+            raise InvalidInput("need a finite conv_rel_tol > 0")
         if self.max_iters < 1 or self.restarts < 1:
             raise InvalidInput("max_iters and restarts must be positive")
         if self.seed < 0:
@@ -99,32 +101,28 @@ class IssResult:
     gap: float = math.nan
 
 
-def _pure_block_slds(rho_b: np.ndarray, drho_b: np.ndarray, q: float) -> np.ndarray:
-    """SLD of an unnormalized pure block: (2/q) drho - (tr drho / q^2) rho."""
-    return (2.0 / q) * drho_b - (np.trace(drho_b).real / q ** 2) * rho_b
-
-
 def channel_slds(probe: FockProbe, kraus: KrausFamily):
     """SLD pair (L_phi, L_eta) of the channel output at the given probe.
 
     Returned dense for the single-mode layout, both from one eigendecomposition
-    of the output, and as block lists for the two-mode layout (analytic rank-1
-    form per block).
+    of the output.  The two-mode layout returns block lists, each block the
+    rank-2 form (a psi' + psi a') / q - (<psi, a> / q^2) psi psi' of the block
+    vector psi and its SLD image a = L psi (qfi._pure_blocks), zero on dead
+    blocks; the library's two-mode solve works on populations, so only the
+    benchmark under perfbench/ and the tests call this branch.
     """
     if kraus.scenario is Scenario.SINGLE:
         return tuple(solve_sld(*_single_mode_output(block_vectors(probe, kraus), kraus)))
-    rho = apply_channel(probe, kraus)
-    dphi, deta = apply_channel_derivatives(probe, kraus)
-    l_phi, l_eta = [], []
-    for rho_b, dp_b, de_b in zip(rho.blocks, dphi.blocks, deta.blocks):
-        q = np.trace(rho_b).real
-        if q < 1e-300:
-            l_phi.append(np.zeros_like(rho_b))
-            l_eta.append(np.zeros_like(rho_b))
-            continue
-        l_phi.append(_pure_block_slds(rho_b, dp_b, q))
-        l_eta.append(_pure_block_slds(rho_b, de_b, q))
-    return l_phi, l_eta
+    _, psi, q, l_psi = _qfi._pure_blocks(probe, kraus)
+    slds = ([], [])
+    for m in range(kraus.n_max + 1):
+        v = psi[m, m:]
+        rho = np.outer(v, v.conj())
+        for blocks, a in zip(slds, l_psi):
+            a = a[m, m:] / q[m]
+            b = np.outer(a, v.conj())
+            blocks.append(b + b.conj().T - (np.vdot(v, a).real / q[m]) * rho)
+    return slds
 
 
 def _resolve_weights(config: IssConfig, params: ChannelParams):
@@ -144,7 +142,8 @@ def build_m_matrix(probe: FockProbe, slds, kraus: KrausFamily, weights) -> np.nd
     M = sum_j (1/w_j) sum_m K_m' (2 G_jm' L_j + 2 L_j G_jm - L_j^2) K_m with
     the diagonal derivative generators G of the Kraus family; its Rayleigh
     quotient at the probe equals the weighted witness sum.  The two-mode
-    layout takes the witnesses as block lists (one per lost-photon count).
+    layout takes the witnesses as block lists (one per lost-photon count);
+    only the benchmark under perfbench/ and the tests call that branch.
     Single mode: G is affine in (m, n), so the bracket at output indices
     (a, b) is Y + m Z, Y = sum_j (2 (conj G_j[0, a] + G_j[0, b]) L_j - L_j^2)
     / w_j and Z = sum_j 4 Re(G_j[1, 1] - G_j[0, 0]) L_j / w_j, summed over m
@@ -265,6 +264,17 @@ def _line_search(p, state, e, lam2, mu, b, coef):
     return None
 
 
+def _certified_within_rounding(trial, j, b, coef):
+    """(trial, its objective state) with trial renormalized, if it is
+    certified and its J fell below j by no more than rounding, else None."""
+    trial = trial / trial.sum()
+    out = _population_objective(trial, b, coef)
+    j_t, g_t = out[0], out[1]
+    if j_t >= j - _NOISE * max(1.0, abs(j)) and _certified(g_t.max() - j_t, j_t):
+        return trial, out
+    return None
+
+
 def _polish(p, state, e, b, coef):
     """The longest step p (1 + t e) if it certifies an uncertified p and
     keeps J within rounding of J(p), else None.
@@ -277,13 +287,7 @@ def _polish(p, state, e, b, coef):
     j, g = state[0], state[1]
     if _certified(g.max() - j, j):
         return None
-    trial = p * (1.0 + _max_step(e) * e)
-    trial /= trial.sum()
-    out = _population_objective(trial, b, coef)
-    j_t, g_t = out[0], out[1]
-    if j_t >= j - _NOISE * max(1.0, abs(j)) and _certified(g_t.max() - j_t, j_t):
-        return trial, out
-    return None
+    return _certified_within_rounding(p * (1.0 + _max_step(e) * e), j, b, coef)
 
 
 def _prune(p, state, b, coef):
@@ -298,13 +302,7 @@ def _prune(p, state, b, coef):
     off = g < j - _PRUNE * max(1.0, j)
     if not off.any() or not _certified(g.max() - j, j):
         return None
-    trial = np.where(off, 0.0, p)
-    trial /= trial.sum()
-    out = _population_objective(trial, b, coef)
-    j_t, g_t = out[0], out[1]
-    if j_t >= j - _NOISE * max(1.0, abs(j)) and _certified(g_t.max() - j_t, j_t):
-        return trial, out
-    return None
+    return _certified_within_rounding(np.where(off, 0.0, p), j, b, coef)
 
 
 def _certified_two_mode(kraus: KrausFamily, weights, max_iters: int):
@@ -378,8 +376,8 @@ def _seesaw(config: IssConfig, kraus: KrausFamily, weights):
         while True:
             mu, top = _top_eigvec(m_mat, coeffs)
             trace.append(max(trace[-1], mu) if trace else mu)    # eigh may round below J
-            if len(trace) >= config.conv_window:
-                window = trace[-config.conv_window:]
+            if len(trace) >= CONV_WINDOW:
+                window = trace[-CONV_WINDOW:]
                 if max(window) - min(window) <= config.conv_rel_tol * abs(window[-1]):
                     converged = True
                     break

@@ -10,8 +10,6 @@ thin SVD give the eigenpairs on the support alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.linalg as npl
 
@@ -26,29 +24,8 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition with eigenvalues sorted in descending order.
-
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    h = np.asarray(h)
-    if not np.all(np.isfinite(h)):
-        raise InvalidInput("matrix has non-finite entries")
-    vals, vecs = npl.eigh(hermitianize(h))
-    order = np.argsort(vals)[::-1]
-    return EigenSystem(vals[order].copy(), vecs[:, order].copy())
-
-
-def support_eig(rho: np.ndarray) -> EigenSystem:
-    """Eigenpairs of a positive semidefinite matrix on its support.
+def support_eig(rho: np.ndarray):
+    """Eigenpairs (p, U) of a positive semidefinite matrix on its support.
 
     A pivoted Cholesky factor gives rho = L L' + S; it stops once the largest
     residual diagonal is at most D eps of the first pivot, the rounding floor
@@ -75,25 +52,22 @@ def support_eig(rho: np.ndarray) -> EigenSystem:
         raise InvalidState("matrix is not positive semidefinite")
     u, s, _ = npl.svd(factor, full_matrices=False)
     keep = s ** 2 > DEFAULT_RANK_TOL * s[:1] ** 2
-    return EigenSystem(s[keep] ** 2, u[:, keep])
+    return s[keep] ** 2, u[:, keep]
 
 
-def sld_eigenbasis(rho_eig: EigenSystem, drho: np.ndarray) -> np.ndarray:
-    """SLD of one derivative in the eigenbasis of ρ, from ρ's eigensystem.
+def sld_eigenbasis(p: np.ndarray, d_eig: np.ndarray) -> np.ndarray:
+    """SLD of one derivative in an eigenbasis of ρ, eigenvalues p descending.
 
-    L_ij = 2 dρ_ij / (p_i + p_j) whenever p_i + p_j exceeds DEFAULT_RANK_TOL
-    relative to the largest eigenvalue p_0; elements on the kernel-kernel
-    block are set to zero (L is not unique there and the choice does not
-    affect any information quantity).  In this basis Tr(ρ A B) is
-    sum_ab p_a A_ab B_ba.
+    ``d_eig`` is dρ in that basis, U' dρ U; U may span the support of ρ
+    only.  L_ab = 2 dρ_ab / (p_a + p_b) whenever p_a + p_b exceeds
+    DEFAULT_RANK_TOL relative to the largest eigenvalue p_0; elements on
+    the kernel-kernel block are set to zero (L is not unique there and the
+    choice does not affect any information quantity).  In this basis
+    Tr(ρ A B) is sum_ab p_a A_ab B_ba.
     """
-    p = rho_eig.eigenvalues
-    u = rho_eig.eigenvectors
-    d_eig = u.conj().T @ drho @ u
     denom = p[:, None] + p[None, :]
     keep = denom > DEFAULT_RANK_TOL * max(p[0], np.finfo(float).tiny)
-    d_eig *= np.where(keep, 2.0, 0.0) / np.where(keep, denom, 1.0)
-    return d_eig
+    return d_eig * (np.where(keep, 2.0, 0.0) / np.where(keep, denom, 1.0))
 
 
 def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
@@ -108,11 +82,14 @@ def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     if (rho.ndim != 2 or rho.shape[0] != rho.shape[1] or drho.ndim not in (2, 3)
             or drho.shape[-2:] != rho.shape):
         raise InvalidInput("rho must be square and drho one matrix of its shape or a stack")
-    es = hermitian_eig(rho)
-    u = es.eigenvectors
+    if not np.all(np.isfinite(rho)):
+        raise InvalidInput("rho has non-finite entries")
+    vals, vecs = npl.eigh(hermitianize(rho))
+    order = np.argsort(vals)[::-1]
+    p, u = vals[order], np.ascontiguousarray(vecs[:, order])
 
     def solve(d):
-        return hermitianize(u @ sld_eigenbasis(es, d) @ u.conj().T)
+        return hermitianize(u @ sld_eigenbasis(p, u.conj().T @ d @ u) @ u.conj().T)
 
     if drho.ndim == 2:
         return solve(drho)

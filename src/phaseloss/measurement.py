@@ -1,8 +1,9 @@
 """Photon counting and homodyne detection behind a tunable output beamsplitter.
 
-Counting works on both Gaussian outputs and two-mode number-basis outputs;
-the observables are the photon-number sum and difference of the two
-detectors.  Homodyne works on Gaussian outputs only (the quadrature first
+Counting works on Gaussian outputs and on number-basis outputs of both
+layouts; the observables are the photon-number sum and difference of the
+two detectors (for the single-mode layout both read the one mode's photon
+number).  Homodyne works on Gaussian outputs only (the quadrature first
 moments of a fixed-total-photon state vanish identically).  Estimation uses
 first moments: the generalized error propagation inverts the observable
 covariance against the parameter derivatives of the means.
@@ -238,10 +239,15 @@ def counting_moments(state, scheme: DetectionScheme,
     densities, in the state's layout.  Number-basis outputs are read off
     three block diagonals with no sector unitary; BlockDiagonals carry
     their derivatives and take O(N^2) memory where two-mode blocks take
-    O(N^3).
+    O(N^3); the library reads two-mode probes that way, so only the
+    benchmark under perfbench/ and the tests pass two-mode block densities.
+    A number-basis output takes one scalar tau_out.
     """
     if isinstance(state, EvolvedGaussian):
         return _gaussian_number_moments(output_transform(scheme, state))
+    if isinstance(state, (BlockDiagonals, BlockDensity)) and np.ndim(scheme.tau_out) != 0:
+        raise InvalidInput("number-basis counting needs one scalar tau_out, "
+                           f"got shape {np.shape(scheme.tau_out)}")
     if isinstance(state, BlockDiagonals):
         return _two_mode_counting(scheme.tau_out, state)
     if isinstance(state, BlockDensity):

@@ -20,7 +20,7 @@ from . import bounds as _bounds
 from .channel import (BlockDensity, ChannelParams, FockProbe, KrausFamily,
                       Scenario, _single_mode_output, block_vectors, build_kraus)
 from .errors import InvalidInput, InvalidState, SingularInformation
-from .linalg import support_eig
+from .linalg import sld_eigenbasis, support_eig
 
 _TRACE_TOL = 1e-8
 _BLOCK_FLOOR = 1e-30
@@ -87,12 +87,11 @@ def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity
     for rho_b, dphi_b, deta_b in zip(rho.blocks, drho_phi.blocks, drho_eta.blocks):
         if np.trace(rho_b).real < _BLOCK_FLOOR:
             continue
-        es = support_eig(rho_b)
-        p, u = es.eigenvalues, es.eigenvectors
+        p, u = support_eig(rho_b)
         d_u = [d @ u for d in (dphi_b, deta_b)]                 # d rho U
         d_s = [u.conj().T @ x for x in d_u]                      # U' d rho U
         kern = [x - u @ y for x, y in zip(d_u, d_s)]             # (1 - U U') d rho U
-        sld = [2.0 * y / (p[:, None] + p[None, :]) for y in d_s]
+        sld = [sld_eigenbasis(p, y) for y in d_s]
         for i, j in ((0, 0), (1, 1), (1, 0)):
             t[i, j] += (np.einsum("a,ab,ba->", p, sld[i], sld[j])
                         + 4.0 * np.einsum("ba,ba->a", kern[i].conj(), kern[j]) @ (1.0 / p))
@@ -100,14 +99,15 @@ def qfi_matrix(rho: BlockDensity, drho_phi: BlockDensity, drho_eta: BlockDensity
     return QfiReport(f=f, i_phieta=1j * t[1, 0].imag)
 
 
-def pure_block_report(probe: FockProbe, kraus: KrausFamily) -> QfiReport:
-    """QFI report of a two-mode probe from its pure block vectors.
+def _pure_blocks(probe: FockProbe, kraus: KrausFamily):
+    """Block vectors psi of a two-mode probe with their SLD images.
 
     Row m of T * c is the unnormalized block vector psi_m, and each SLD acts
     on it as L psi = 2 G psi + (2 <psi, G psi>^* - 2 Re <psi, G psi>) psi / q
-    with q = |psi|^2 and G the generator table, so no block density is ever
-    formed.  channel_report uses this route for the two-mode layout, and
-    through it the see-saw optimizer reports its final probe.
+    with q = |psi|^2 and G the generator table.  Returns (live, psi, q,
+    (L_phi psi, L_eta psi)); rows of blocks below trace _BLOCK_FLOOR, the
+    dead ones off ``live``, are zero in psi and in both images, and q reads 1
+    there.
     """
     if kraus.scenario is not Scenario.TWO:
         raise InvalidInput("pure blocks need the two-mode layout")
@@ -117,14 +117,26 @@ def pure_block_report(probe: FockProbe, kraus: KrausFamily) -> QfiReport:
     if abs(q.sum() - 1.0) > _TRACE_TOL:
         raise InvalidState(f"density trace {q.sum()} is not 1")
     live = q >= _BLOCK_FLOOR
-    psi, p, q = psi[live], p[live], q[live]
+    psi = np.where(live[:, None], psi, 0.0)
+    p, q = np.abs(psi) ** 2, np.where(live, q, 1.0)
     l_psi = []
     for g in kraus.generators():
-        g = g[live]
         overlap = (g * p).sum(axis=1)
         shift = (2.0 * np.conj(overlap) - 2.0 * overlap.real) / q
         l_psi.append(2.0 * g * psi + shift[:, None] * psi)
-    lp, le = l_psi
+    return live, psi, q, tuple(l_psi)
+
+
+def pure_block_report(probe: FockProbe, kraus: KrausFamily) -> QfiReport:
+    """QFI report of a two-mode probe from its pure block vectors.
+
+    The information matrix is the Gram matrix Tr(rho L_i L_j) = sum_m
+    <L_i psi_m, L_j psi_m> of the SLD images of _pure_blocks, so no block
+    density is ever formed.  channel_report uses this route for the two-mode
+    layout, and through it the see-saw optimizer reports its final probe.
+    """
+    live, _, _, l_psi = _pure_blocks(probe, kraus)
+    lp, le = (a[live] for a in l_psi)    # zero rows would regroup the sums' rounding
     z = np.vdot(le, lp)
     f = np.array([[np.vdot(lp, lp).real, z.real], [z.real, np.vdot(le, le).real]])
     return QfiReport(f=f, i_phieta=1j * z.imag)

@@ -9,8 +9,8 @@ from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel
                                build_kraus)
 from phaseloss.gaussian import (GaussianProbeSpec, ProbeFamily, fock_truncation,
                                 grid_channel_output, mix_modes)
-from phaseloss.iss import build_m_matrix, channel_slds
-from phaseloss.linalg import hermitian_eig, hermitianize
+from phaseloss.iss import CONV_WINDOW, build_m_matrix, channel_slds
+from phaseloss.linalg import hermitianize
 
 
 def kraus_matrix(kraus, m, which=None):
@@ -78,10 +78,15 @@ def kraus_sum_output(probe, kraus, which=None):
     return out
 
 
+def descending_eigh(h):
+    """Eigenvalues of the Hermitian part of h, descending, and their eigenvectors."""
+    vals, vecs = np.linalg.eigh(hermitianize(h))
+    return vals[::-1], vecs[:, ::-1]
+
+
 def sld_oracle(rho, drho, rank_tol=1e-12):
     """SLD of one derivative, solved entry by entry in the eigenbasis of rho."""
-    es = hermitian_eig(rho)
-    p, u = es.eigenvalues, es.eigenvectors
+    p, u = descending_eigh(rho)
     d_eig = u.conj().T @ drho @ u
     den = p[:, None] + p[None, :]
     mask = den > rank_tol * max(p[0], np.finfo(float).tiny)
@@ -130,8 +135,8 @@ def plain_seesaw(config, kraus, weights):
             build_m_matrix(probe, channel_slds(probe, kraus), kraus, weights))
         coeffs = vecs[:, -1]
         trace.append(float(vals[-1]))
-        window = trace[-config.conv_window:]
-        if (len(window) == config.conv_window
+        window = trace[-CONV_WINDOW:]
+        if (len(window) == CONV_WINDOW
                 and max(window) - min(window) <= config.conv_rel_tol * abs(window[-1])):
             return coeffs, np.array(trace), True
     return coeffs, np.array(trace), False
@@ -224,8 +229,7 @@ def dense_qfi(rho, drho_phi, drho_eta, rank_tol=1e-12):
 
     Returns (f, i_phieta) with i_phieta = (1/2) Tr(rho [L_eta, L_phi]).
     """
-    es = hermitian_eig(rho)
-    p, u = es.eigenvalues, es.eigenvectors
+    p, u = descending_eigh(rho)
     den = p[:, None] + p[None, :]
     mask = den > rank_tol * max(p[0], 1e-300)
 

@@ -117,7 +117,7 @@ def test_criterion_05_iss_monotone_and_fixed_point():
             f"worst iteration step {worst_drop:.2e} over 20 runs")
 
     cfg = IssConfig(weight_phi=np.inf, weight_eta=1.0, max_iters=3000,
-                    conv_window=8, conv_rel_tol=1e-14, restarts=1, seed=4)
+                    conv_rel_tol=1e-14, restarts=1, seed=4)
     res = optimize(cfg, ChannelParams(0.0, 0.35, 8), Scenario.TWO)
     overlap = abs(res.probe.coeffs[-1]) ** 2
     verdict(overlap > 1 - 1e-8, "criterion 5 (loss-only recovers number state)",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,45 @@ def test_fast_two_mode_m_matches_dense(n, weights):
     dense = build_m_matrix(probe, slds, kraus, weights)
     fast = _fast_m_two_mode(probe.coeffs, kraus, weights)
     np.testing.assert_allclose(fast, dense, atol=1e-10 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("fock", [False, True])
+def test_two_mode_witnesses_match_block_density_closed_form(fock):
+    # a pure block psi psi' with derivative drho has the SLD
+    # (2/q) drho - (tr drho / q^2) psi psi'; |3>|N-3> leaves blocks 4..N empty
+    n = 9
+    kraus = build_kraus(ChannelParams(0.8, 0.35, n), Scenario.TWO)
+    probe = (FockProbe.fock(Scenario.TWO, 3, n) if fock
+             else FockProbe.random(Scenario.TWO, n, np.random.default_rng(6)))
+    rho = apply_channel(probe, kraus)
+    for blocks, drho in zip(channel_slds(probe, kraus),
+                            apply_channel_derivatives(probe, kraus)):
+        refs = []
+        for rho_b, d_b in zip(rho.blocks, drho.blocks):
+            q = np.trace(rho_b).real
+            refs.append(np.zeros_like(rho_b) if q == 0.0 else
+                        (2.0 / q) * d_b - (np.trace(d_b).real / q ** 2) * rho_b)
+        scale = max(1.0, *(np.abs(ref).max() for ref in refs))
+        assert [b.shape for b in blocks] == [ref.shape for ref in refs]
+        for l_b, ref in zip(blocks, refs):
+            np.testing.assert_allclose(l_b, ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_two_mode_witnesses_form_no_block_density():
+    # the two witness block sets are the output; rho and its two derivatives
+    # would add three more
+    n = 120
+    kraus = build_kraus(ChannelParams(0.0, 0.1, n), Scenario.TWO)
+    probe = FockProbe.random(Scenario.TWO, n, np.random.default_rng(0))
+    block_set = 16 * sum((n + 1 - m) ** 2 for m in range(n + 1))
+    tracemalloc.start()
+    try:
+        slds = channel_slds(probe, kraus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(blocks) for blocks in slds] == [n + 1, n + 1]
+    assert peak <= 2.5 * block_set
 
 
 @pytest.mark.parametrize("weights", [(1.7, 0.9), (np.inf, 0.9), (1.7, np.inf)])
@@ -199,7 +239,7 @@ def test_objective_monotone_on_random_runs():
 
 def test_loss_only_recovers_fock_state():
     cfg = IssConfig(weight_phi=np.inf, weight_eta=1.0, max_iters=2000,
-                    conv_window=8, conv_rel_tol=1e-14, restarts=1, seed=3)
+                    conv_rel_tol=1e-14, restarts=1, seed=3)
     res = optimize(cfg, ChannelParams(0.0, 0.4, 7), Scenario.TWO)
     assert abs(res.probe.coeffs[-1]) ** 2 > 1 - 1e-8
     assert res.final_qfi.f[1, 1] == pytest.approx(7 / (0.4 * 0.6), rel=1e-8)
@@ -219,7 +259,7 @@ def test_loss_only_fixed_point():
 
 def test_phase_only_lossless_optimum():
     cfg = IssConfig(weight_phi=1.0, weight_eta=np.inf, max_iters=2000,
-                    conv_window=6, conv_rel_tol=1e-13, restarts=2, seed=1)
+                    conv_rel_tol=1e-13, restarts=2, seed=1)
     res = optimize(cfg, ChannelParams(0.0, 1 - 1e-9, 4), Scenario.SINGLE)
     assert res.final_qfi.f[0, 0] == pytest.approx(16.0, rel=1e-6)
     weights = np.abs(res.probe.coeffs) ** 2
@@ -312,7 +352,7 @@ def test_certified_probe_is_a_seesaw_fixed_point(n):
 def test_two_mode_result_ignores_seed_and_restarts():
     params = ChannelParams(0.0, 0.3, 12)
     base = optimize(IssConfig(), params, Scenario.TWO)
-    other = optimize(IssConfig(restarts=3, seed=9, conv_rel_tol=0.5, conv_window=2),
+    other = optimize(IssConfig(restarts=3, seed=9, conv_rel_tol=0.5),
                      params, Scenario.TWO)
     np.testing.assert_array_equal(base.probe.coeffs, other.probe.coeffs)
     assert base.gap == other.gap

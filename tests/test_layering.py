@@ -59,6 +59,20 @@ def test_bounds_imports_no_package_module_but_errors():
     assert not package_imports(errors)
 
 
+def test_optimizer_builds_no_block_density():
+    # the two-mode witnesses come from block vectors, as the two-mode QFI does
+    tree = ast.parse((PACKAGE / "iss.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"apply_channel", "apply_channel_derivatives"}
+
+
 CONCURRENCY = {"concurrent", "threading", "multiprocessing"}
 
 

@@ -156,6 +156,17 @@ def test_block_diagonals_need_two_mode_layout():
         block_diagonals(probe, build_kraus(ChannelParams(0.0, 0.5, 3), Scenario.SINGLE))
 
 
+def test_number_basis_counting_needs_scalar_tau_out():
+    scheme = DetectionScheme(SchemeKind.COUNTING, tau_out=np.array([0.2, 0.5]))
+    probe = FockProbe.fock(Scenario.TWO, 1, 3)
+    params = ChannelParams(0.0, 0.5, 3)
+    with pytest.raises(InvalidInput, match="scalar"):
+        counting_moments(block_diagonals(probe, build_kraus(params, Scenario.TWO)), scheme)
+    rho, dphi, deta = fock_output(probe, params)
+    with pytest.raises(InvalidInput, match="scalar"):
+        counting_moments(rho, scheme, dphi, deta)
+
+
 def test_fock_counting_rejects_mismatched_derivatives():
     scheme = DetectionScheme(SchemeKind.COUNTING, tau_out=0.5)
     rng = np.random.default_rng(4)

@@ -130,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_me.add_argument("--chi", default="pi/2")
     p_me.add_argument("--p", type=float, default=0.5)
     p_me.add_argument("--q", type=float, default=0.5)
-    p_me.add_argument("--restarts", type=int, default=2,
-                      help="accepted and ignored: the two-mode optimum has one start")
 
     p_bd = sub.add_parser("bounds", help="closed-form limits and moment bounds")
     common(p_bd)
@@ -232,11 +230,10 @@ def write_table(rows, header, args):
             writer.writerow([_fmt(row.get(col)) for col in header])
         text = buf.getvalue()
     else:
-        # --threads shapes no row, nor does measure's --restarts
-        unused = {"command", "threads"} | ({"restarts"} if args.command == "measure" else set())
+        # --threads shapes no row
         meta = {"version": __version__, "command": args.command, "seed": args.seed,
                 "config": {k: _json_value(v) for k, v in vars(args).items()
-                           if k not in unused and v is not None}}
+                           if k not in ("command", "threads") and v is not None}}
         payload = {"meta": meta,
                    "rows": [{col: _json_value(row.get(col)) for col in header}
                             for row in rows]}
@@ -258,6 +255,7 @@ def _progress(msg):
 
 OPTIMIZE_HEADER = ["n", "eta", "f_phiphi", "f_etaeta", "f_phieta", "f_norm",
                    "mean_n1", "var_n1", "r_h_bar", "converged", "iters", "gap"]
+COEFFS_HEADER = ["n", "eta", "index", "re", "im"]
 
 
 def cmd_optimize(args):
@@ -275,7 +273,7 @@ def cmd_optimize(args):
     weight_phi = parse_weight(args.weight_phi)
     weight_eta = parse_weight(args.weight_eta)
 
-    rows, probes = [], []
+    rows, coeff_rows = [], []
     for index, (n, eta) in enumerate(points):
         cfg = IssConfig(weight_phi=weight_phi, weight_eta=weight_eta,
                         max_iters=args.max_iters, conv_rel_tol=args.conv_tol,
@@ -295,18 +293,14 @@ def cmd_optimize(args):
             "r_h_bar": (rep.c_s / rep.c_h_bar) if rep.c_h_bar else None,
             "converged": result.converged, "iters": result.iterations, "gap": result.gap,
         })
-        probes.append(result.probe.coeffs)
+        coeff_rows.extend({"n": n, "eta": eta, "index": k, "re": float(c.real),
+                           "im": float(c.imag)} for k, c in enumerate(result.probe.coeffs))
     write_table(rows, OPTIMIZE_HEADER, args)
     if args.out:
         stem, ext = os.path.splitext(args.out)
-        coeff_path = f"{stem}_coeffs{ext or '.csv'}"
-        with open(coeff_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "eta", "index", "re", "im"])
-            for row, coeffs in zip(rows, probes):
-                for k, c in enumerate(coeffs):
-                    writer.writerow([row["n"], _fmt(row["eta"]), k,
-                                     _fmt(float(c.real)), _fmt(float(c.imag))])
+        coeff_args = argparse.Namespace(**vars(args))
+        coeff_args.out = f"{stem}_coeffs{ext or '.' + args.format}"
+        write_table(coeff_rows, COEFFS_HEADER, coeff_args)
     return EXIT_OK
 
 
@@ -512,10 +506,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(args, argv)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidInput as exc:
+    except (OSError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     handlers = {"optimize": cmd_optimize, "gaussian-scan": cmd_gaussian_scan,

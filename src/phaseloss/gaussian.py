@@ -606,17 +606,16 @@ def _trim_grid(grid: np.ndarray, tol: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def fock_truncation(spec: GaussianProbeSpec, cutoff: int = None) -> np.ndarray:
+def fock_truncation(spec: GaussianProbeSpec) -> np.ndarray:
     """Amplitude grid of the probe on the truncated two-mode number basis.
 
-    With ``cutoff=None`` the cutoff grows (from 40, doubling) until the
-    truncation keeps at least 1 - 1e-10 of the exact norm; a pinned cutoff
-    raises InvalidState if that mass cannot be reached.  The grid is trimmed
-    afterwards to the smallest per-mode cutoffs preserving the same mass.
+    The cutoff grows (from 40, doubling to 320) until the truncation keeps
+    at least 1 - 1e-10 of the exact norm, and raises the last InvalidState
+    if no cutoff does.  The grid is trimmed afterwards to the smallest
+    per-mode cutoffs preserving the same mass.
     """
-    candidates = [cutoff] if cutoff is not None else [40, 80, 160, 320]
     err = None
-    for cut in candidates:
+    for cut in (40, 80, 160, 320):
         try:
             return _fock_truncation_at(spec, cut)
         except InvalidState as exc:

@@ -172,14 +172,12 @@ def build_m_matrix(probe: FockProbe, slds, kraus: KrausFamily, weights) -> np.nd
 
 
 def _top_eigvec(m_mat: np.ndarray, previous: np.ndarray):
+    """Top eigenvalue of M and, among its near-degenerate eigenvectors, the
+    one closest to ``previous``."""
     vals, vecs = np.linalg.eigh(m_mat)
     top = vals[-1]
     near = np.nonzero(vals >= top - _EIG_DEGENERACY_TOL * max(1.0, abs(top)))[0]
-    if len(near) > 1 and previous is not None:
-        overlaps = np.abs(vecs[:, near].conj().T @ previous)
-        pick = near[int(np.argmax(overlaps))]
-    else:
-        pick = near[-1]
+    pick = near[int(np.argmax(np.abs(vecs[:, near].conj().T @ previous)))]
     return float(top), vecs[:, pick]
 
 
@@ -276,18 +274,16 @@ def _certified_within_rounding(trial, j, b, coef):
 
 
 def _polish(p, state, e, b, coef):
-    """The longest step p (1 + t e) if it certifies an uncertified p and
-    keeps J within rounding of J(p), else None.
+    """The longest step p (1 + t e) if it is certified and keeps J within
+    rounding of J(p), else None.
 
-    At _MU_STOP, J is flat to rounding and the barrier pulls on vanishing
-    populations: the step can close the gap while its J slope is slightly
-    negative and J(trial) rounds an ulp below J(p), so _line_search refuses
-    it.  A certified point lies within its gap of J*, so it may replace p.
+    The solve calls it only at _MU_STOP on an uncertified p.  There J is
+    flat to rounding and the barrier pulls on vanishing populations: the
+    step can close the gap while its J slope is slightly negative and
+    J(trial) rounds an ulp below J(p), so _line_search refuses it.  A
+    certified point lies within its gap of J*, so it may replace p.
     """
-    j, g = state[0], state[1]
-    if _certified(g.max() - j, j):
-        return None
-    return _certified_within_rounding(p * (1.0 + _max_step(e) * e), j, b, coef)
+    return _certified_within_rounding(p * (1.0 + _max_step(e) * e), state[0], b, coef)
 
 
 def _prune(p, state, b, coef):

@@ -91,6 +91,11 @@ def output_transform(scheme: DetectionScheme, state):
     )
 
 
+def _check_kind(scheme: DetectionScheme, kind: SchemeKind):
+    if scheme.kind != kind:
+        raise InvalidInput(f"{kind.value} moments need a {kind.value} scheme")
+
+
 _TO_PM = np.array([[1.0, 1.0], [1.0, -1.0]])     # (n1, n2) -> (sum, difference)
 
 
@@ -209,61 +214,53 @@ def _two_mode_counting(tau: float, diags: BlockDiagonals) -> MomentSet:
                      cov=np.array([[ss - s * s, sd - s * dp], [sd - s * dp, dd - dp * dp]]))
 
 
-def _fock_counting_moments(tau: float, rho: BlockDensity, drho_phi: BlockDensity,
-                           drho_eta: BlockDensity) -> MomentSet:
-    """Sum/difference counting moments of a number-basis output and its
-    derivatives behind the detection splitter, read off block diagonals.
-
-    Single mode: S = D = n1, read from the diagonal.  Two mode: the flat
-    diagonals 0, 1 and 2 of all blocks go to _two_mode_counting, the kernel
-    that block_diagonals also feeds.
-    """
-    densities = (rho, drho_phi, drho_eta)
-    if rho.scenario is Scenario.SINGLE:
-        k = np.arange(rho.n_max + 1.0)
-        p = np.array([d.blocks[0].diagonal().real for d in densities])
-        n1 = p @ k
-        var = p[0] @ (k * k) - n1[0] ** 2
-        return MomentSet(means=np.full(2, n1[0]), dphi=np.full(2, n1[1]),
-                         deta=np.full(2, n1[2]), cov=np.full((2, 2), var))
-    return _two_mode_counting(tau, _density_diagonals(densities))
-
-
 def counting_moments(state, scheme: DetectionScheme,
                      drho_phi: BlockDensity = None,
                      drho_eta: BlockDensity = None) -> MomentSet:
     """Photon-number sum/difference moments behind the output splitter.
 
     ``state`` is an EvolvedGaussian, a BlockDensity or the BlockDiagonals
-    of ``block_diagonals``.  A BlockDensity needs the matching derivative
-    densities, in the state's layout.  Number-basis outputs are read off
-    three block diagonals with no sector unitary; BlockDiagonals carry
-    their derivatives and take O(N^2) memory where two-mode blocks take
-    O(N^3); the library reads two-mode probes that way, so only the
+    of ``block_diagonals``; ``scheme`` must be a counting scheme.  A
+    BlockDensity needs the matching derivative densities, in the state's
+    layout.  Number-basis outputs are read off block diagonals with no
+    sector unitary and take one scalar tau_out.  Single mode: S = D = n1,
+    read from the main diagonal in place.  Two mode: the flat diagonals 0,
+    1 and 2 of all blocks go to _two_mode_counting; BlockDiagonals carry
+    them with their derivatives in O(N^2) memory where two-mode blocks take
+    O(N^3).  The library reads two-mode probes that way, so only the
     benchmark under perfbench/ and the tests pass two-mode block densities.
-    A number-basis output takes one scalar tau_out.
     """
+    _check_kind(scheme, SchemeKind.COUNTING)
     if isinstance(state, EvolvedGaussian):
         return _gaussian_number_moments(output_transform(scheme, state))
-    if isinstance(state, (BlockDiagonals, BlockDensity)) and np.ndim(scheme.tau_out) != 0:
+    if not isinstance(state, (BlockDiagonals, BlockDensity)):
+        raise InvalidInput(f"cannot compute counting moments for {type(state).__name__}")
+    if np.ndim(scheme.tau_out) != 0:
         raise InvalidInput("number-basis counting needs one scalar tau_out, "
                            f"got shape {np.shape(scheme.tau_out)}")
     if isinstance(state, BlockDiagonals):
         return _two_mode_counting(scheme.tau_out, state)
-    if isinstance(state, BlockDensity):
-        if drho_phi is None or drho_eta is None:
-            raise InvalidInput("number-basis counting needs the derivative densities")
-        _check_layout(state, drho_phi, drho_eta)
-        return _fock_counting_moments(scheme.tau_out, state, drho_phi, drho_eta)
-    raise InvalidInput(f"cannot compute counting moments for {type(state).__name__}")
+    if drho_phi is None or drho_eta is None:
+        raise InvalidInput("number-basis counting needs the derivative densities")
+    _check_layout(state, drho_phi, drho_eta)
+    densities = (state, drho_phi, drho_eta)
+    if state.scenario is Scenario.TWO:
+        return _two_mode_counting(scheme.tau_out, _density_diagonals(densities))
+    k = np.arange(state.n_max + 1.0)
+    p = np.array([d.blocks[0].diagonal().real for d in densities])
+    n1 = p @ k
+    var = p[0] @ (k * k) - n1[0] ** 2
+    return MomentSet(means=np.full(2, n1[0]), dphi=np.full(2, n1[1]),
+                     deta=np.full(2, n1[2]), cov=np.full((2, 2), var))
 
 
 def homodyne_moments(state, scheme: DetectionScheme) -> MomentSet:
     """Quadrature moments X_j = exp(i xi) c_j' + h.c. behind the splitter.
 
-    Defined for Gaussian outputs only; fixed-photon-number outputs carry no
-    first-moment quadrature signal.
+    Defined for Gaussian outputs and homodyne schemes only; fixed-photon-
+    number outputs carry no first-moment quadrature signal.
     """
+    _check_kind(scheme, SchemeKind.HOMODYNE)
     if isinstance(state, BlockDensity):
         raise Unsupported("homodyne readout is undefined for number-basis outputs")
     if not isinstance(state, EvolvedGaussian):

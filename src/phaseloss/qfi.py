@@ -228,14 +228,14 @@ def complete_report(report: QfiReport, w: np.ndarray) -> QfiReport:
     return report
 
 
-def channel_report(probe: FockProbe, params: ChannelParams,
-                   w: np.ndarray = None) -> QfiReport:
+def channel_report(probe: FockProbe, params: ChannelParams) -> QfiReport:
     """End-to-end report for a number-state probe through the channel.
 
     Two-mode probes take the block-vector route of pure_block_report; the
     mixed single-mode output, from the channel's one loss action, is solved
-    on its support by qfi_matrix.  The default weight matrix is diag of the
-    single-parameter channel optima at the probe's photon budget.
+    on its support by qfi_matrix.  The scalar bounds are weighted by diag of
+    the single-parameter channel optima at the probe's photon budget; pass
+    other weights to complete_report.
     """
     kraus = build_kraus(params, probe.scenario)
     if probe.scenario is Scenario.TWO:
@@ -244,8 +244,7 @@ def channel_report(probe: FockProbe, params: ChannelParams,
         rho, drho = _single_mode_output(block_vectors(probe, kraus), kraus)
         report = qfi_matrix(*(BlockDensity(Scenario.SINGLE, params.n_max, [mat])
                               for mat in (rho, *drho)))
-    if w is None:
-        w = np.array(_bounds.fundamental_limits(probe.n_max, params.eta).weights())
+    w = np.array(_bounds.fundamental_limits(probe.n_max, params.eta).weights())
     try:
         complete_report(report, w)
     except SingularInformation:

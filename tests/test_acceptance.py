@@ -39,7 +39,7 @@ def test_criterion_01_fock_loss_optimum():
     for n in range(1, 51):
         probe = FockProbe.fock(Scenario.SINGLE, n, n)
         for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
-            rep = channel_report(probe, ChannelParams(0.0, eta, n), w=np.eye(2))
+            rep = channel_report(probe, ChannelParams(0.0, eta, n))
             target = n / (eta * (1 - eta))
             worst = max(worst, abs(rep.f[1, 1] - target) / target)
     elapsed = time.time() - start

@@ -116,3 +116,8 @@ def test_phase_bound_dominates_achieved_information():
         cap, _ = phase_qnd_bound(mean_n, var_n, eta)
         assert rep.f[0, 0] <= cap + 1e-6 * max(1.0, cap)
         assert rep.f[1, 1] <= fundamental_limits(n, eta).f_eta_max * (1 + 1e-10)
+
+
+def test_fundamental_limits_rejects_an_empty_budget():
+    with pytest.raises(InvalidInput, match="budget"):
+        fundamental_limits(0, 0.5)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (dense, finite_diff_output, kraus_matrix, kraus_sum_output,
                       single_mode_output_three_shift)
-from phaseloss.channel import (ChannelParams, FockProbe, Scenario, _loss_factors,
+from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario, _loss_factors,
                                _single_mode_output, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
                                binomial_loss_coeff, block_vectors, build_kraus)
@@ -325,3 +325,16 @@ def test_loss_factors_name_the_largest_cutoff(eta):
     assert 2.0 * logs.max() <= 662.4
     with pytest.raises(InvalidInput, match=f"up to {top} at"):
         _loss_factors(top + 1, eta)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChannelPoints(math.nan, 0.5), "phi"),
+    (lambda: FockProbe.from_amplitudes(Scenario.SINGLE, np.zeros(4)), "not all zero"),
+    (lambda: FockProbe.fock(Scenario.SINGLE, 4, 3), "n <= n_max"),
+    (lambda: block_vectors(FockProbe.fock(Scenario.SINGLE, 1, 3),
+                           build_kraus(ChannelParams(0.0, 0.5, 4), Scenario.SINGLE)), "cutoff"),
+    (lambda: beamsplitter_sector(3, 1.5), "tau")],
+    ids=["nan-phi", "zero-amplitudes", "fock-above-cutoff", "cutoff-mismatch", "tau-above-1"])
+def test_channel_inputs_are_validated(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()

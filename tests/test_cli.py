@@ -149,7 +149,7 @@ def test_measure_homodyne_fock_unsupported_marker():
 def test_measure_counting_fock_probe():
     code, out, _ = run_cli(["measure", "--n", "8", "--eta", "0.3",
                             "--scheme", "counting", "--probe", "fock",
-                            "--tau-out", "0.5,1.0", "--restarts", "1"])
+                            "--tau-out", "0.5,1.0"])
     assert code == 0
     rows = read_csv(out)
     assert [r["status"] for r in rows] == ["ok", "ok"]
@@ -249,16 +249,17 @@ def test_measure_fock_ignores_restarts_and_seed():
     args = ["measure", "--n", "6,9", "--eta", "0.3,0.6", "--scheme", "counting",
             "--probe", "fock", "--tau-out", "0.5,1"]
     _, base, _ = run_cli(args)
-    for extra in (["--restarts", "1"], ["--restarts", "3"], ["--seed", "0"], ["--seed", "5"]):
+    for extra in (["--seed", "0"], ["--seed", "5"]):
         code, out, _ = run_cli(args + extra)
         assert code == 0
         assert out == base, extra
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        run_cli(args + ["--restarts", "1"])     # measure takes no --restarts
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("base, flag, values", [
-    (["bounds", "--n", "10", "--eta", "0.5"], "--threads", ("1", "4")),
-    (["measure", "--n", "6", "--eta", "0.3", "--probe", "fock", "--tau-out", "0.5"],
-     "--restarts", ("1", "3"))])
+    (["bounds", "--n", "10", "--eta", "0.5"], "--threads", ("1", "4"))])
 def test_json_envelope_leaves_out_flags_no_row_depends_on(base, flag, values):
     outs = []
     for value in values:
@@ -305,6 +306,8 @@ def test_parse_angle_accepts_numbers_and_pi_multiples(token, value):
 @pytest.mark.parametrize("argv", [
     ["bounds", "--n", "1e4", "--eta", "0.5"],
     ["bounds", "--n", "10", "--eta", "0.5x"],
+    ["bounds", "--n", "10", "--eta", "1e999"],
+    ["bounds", "--n", ",", "--eta", "0.5"],
     ["gaussian-scan", "--n", "100", "--eta", "0.1", "--chi", "3/4pi"],
     ["gaussian-scan", "--n", "100", "--eta", "0.1", "--chi", "pi*2"],
     ["gaussian-scan", "--n", "100", "--eta", "0.1", "--chi", "pi/0"],
@@ -375,8 +378,7 @@ def test_measure_fock_optimizes_each_point_once(monkeypatch):
 
     monkeypatch.setattr(phaseloss.cli, "optimize", counting_optimize)
     code, out, _ = run_cli(["measure", "--n", "4", "--eta", "0.3,0.5", "--scheme", "counting",
-                            "--probe", "fock", "--tau-out", "0.25,0.5,1", "--restarts", "1",
-                            "--threads", "4"])
+                            "--probe", "fock", "--tau-out", "0.25,0.5,1", "--threads", "4"])
     assert code == 0
     assert len(read_csv(out)) == 6
     assert calls == {(4, 0.3): 1, (4, 0.5): 1}
@@ -508,3 +510,21 @@ def test_gaussian_sweep_reports_first_failing_row(monkeypatch, command, failures
     assert out == ""
     assert lines[-1].startswith(expected[1])
     assert len(lines) == first + 1       # one progress line per row before it
+
+
+def test_config_line_without_equals_exits_with_config_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=10\neta 0.5\n")
+    code, out, err = run_cli(["bounds", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "expected key=value" in err
+
+
+def test_optimize_coefficients_follow_the_table_format(tmp_path):
+    args = ["optimize", "--n", "3,4", "--eta", "0.4"]
+    assert run_cli(args + ["--out", str(tmp_path / "t.csv")])[0] == 0
+    assert run_cli(args + ["--format", "json", "--out", str(tmp_path / "t.json")])[0] == 0
+    rows = json.loads((tmp_path / "t_coeffs.json").read_text())["rows"]
+    assert [{k: phaseloss.cli._fmt(v) for k, v in row.items()} for row in rows] == \
+        read_csv((tmp_path / "t_coeffs.csv").read_text())

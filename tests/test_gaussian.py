@@ -9,14 +9,15 @@ from phaseloss.bounds import fundamental_limits
 from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario,
                                apply_channel, apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput
-from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec,
+from phaseloss import gaussian
+from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, GaussianState,
                                 ProbeFamily, Regime,
                                 asymptotic_limits, correlation_single_mode,
                                 correlation_two_mode_chi0,
                                 correlation_two_mode_cross, evolve,
                                 evolve_with_derivatives, fock_truncation,
                                 gaussian_qfi, grid_channel_output, make_probe,
-                                mix_modes,
+                                mix_modes, mode_unitary,
                                 photon_moments, spec_from_split)
 
 
@@ -336,7 +337,7 @@ def test_fock_truncation_norm_control():
     grid = fock_truncation(spec)                 # adaptive cutoff
     assert np.linalg.norm(grid) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(Exception):
-        fock_truncation(spec, cutoff=10)         # pinned cutoff too small
+        gaussian._fock_truncation_at(spec, 10)   # pinned cutoff too small
 
 
 def test_energy_split_accounting():
@@ -348,3 +349,76 @@ def test_energy_split_accounting():
     assert swapped.n_alpha == pytest.approx(100.0)
     spec = spec_from_split(ProbeFamily.TWO_MODE, split)
     assert spec.n_total == pytest.approx(1e4, rel=1e-12)
+
+
+def _skewed_sigma():
+    sigma = np.eye(4, dtype=complex)
+    sigma[0, 1] = 0.5
+    return sigma
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianState(np.eye(3), np.zeros(3)), "4x4"),
+    (lambda: GaussianState(_skewed_sigma(), np.zeros(4)), "Hermitian"),
+    (lambda: GaussianState(np.eye(4), np.array([1.0, 0.0, 0.0, 0.0])), "conj"),
+    (lambda: GaussianProbeSpec(ProbeFamily.SINGLE_MODE, alpha=-1.0), "nonnegative"),
+    (lambda: GaussianProbeSpec(ProbeFamily.SINGLE_MODE, tau_in=1.5), "tau_in"),
+    (lambda: EnergySplit(100.0, p=1.5), "exponents"),
+    (lambda: mode_unitary(0.0, 1.5), "tau_in"),
+    (lambda: grid_channel_output(np.ones((1, 3)), ChannelPoints(0.0, 0.5)), "one photon"),
+    (lambda: asymptotic_limits(ProbeFamily.TWO_MODE, Regime.STRONG_DISPLACEMENT, 1.0), "eta"),
+    (lambda: asymptotic_limits(ProbeFamily.TWO_MODE, Regime.STRONG_DISPLACEMENT, 0.5,
+                               chi=0.3), "chi"),
+    (lambda: asymptotic_limits(ProbeFamily.TWO_MODE, Regime.STRONG_DISPLACEMENT, 0.5,
+                               chi=0.0), "exponents")],
+    ids=["shape", "non-hermitian", "displacement", "negative-alpha", "tau-in-spec",
+         "split-exponent", "tau-in-unitary", "one-row-grid", "limits-eta",
+         "limits-chi", "limits-no-exponents"])
+def test_gaussian_inputs_are_validated(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
+
+
+def _normalized(spec, eta, n_total):
+    """(F_phiphi, F_etaeta) over the channel optima and i_phieta over
+    F_phi_max of the probe at phase 0 and transmissivity eta."""
+    rep = gaussian_qfi(make_probe(spec), ChannelPoints(0.0, eta), spec.tau_in)
+    lim = fundamental_limits(n_total, eta)
+    return (rep.f[0, 0] / lim.f_phi_max_s12, rep.f[1, 1] / lim.f_eta_max,
+            rep.i_phieta / lim.f_phi_max_s12)
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+def test_strong_squeezing_limits_match_gaussian_qfi(eta):
+    n_total = 1e5
+    split = EnergySplit(n_total, p=0.5, q=0.5, regime=Regime.STRONG_SQUEEZING)
+    single = asymptotic_limits(ProbeFamily.SINGLE_MODE, Regime.STRONG_SQUEEZING, eta)
+    spec = spec_from_split(ProbeFamily.SINGLE_MODE, split, theta1=np.pi)
+    f_phi, f_eta, _ = _normalized(spec, eta, n_total)
+    assert f_phi == pytest.approx(single["f_phi_norm"], abs=5e-3)
+    assert f_eta == pytest.approx(single["f_eta_norm"], abs=5e-3)
+    two = asymptotic_limits(ProbeFamily.TWO_MODE, Regime.STRONG_SQUEEZING, eta)
+    for chi, tau_in in ((0.0, split.tau_in()), (np.pi / 2, 1.0)):
+        spec = spec_from_split(ProbeFamily.TWO_MODE, split, theta=np.pi / 2, theta1=np.pi,
+                               theta2=np.pi, chi=chi, tau_in=tau_in)
+        f_phi, f_eta, _ = _normalized(spec, eta, n_total)
+        assert 0.5 * (f_phi + f_eta) == pytest.approx(two["f_norm"], abs=5e-3), chi
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+def test_chi0_limit_with_fast_transmission_approached_by_gaussian_qfi(eta):
+    # q < p: the input splitter opens faster than the minor resource grows,
+    # and each normalized component closes in on (1, 1, i / eta)
+    p, q = 0.6, 0.3
+    limit = asymptotic_limits(ProbeFamily.TWO_MODE, Regime.STRONG_DISPLACEMENT, eta,
+                              chi=0.0, p=p, q=q)
+    target = (limit["f_phi_norm"], limit["f_eta_norm"], limit["i_over_fmax_phi"])
+    assert target == (1.0, 1.0, pytest.approx(1j / eta))
+    distances = []
+    for n_total in (1e3, 1e4, 1e5):
+        split = EnergySplit(n_total, p=p, q=q)
+        spec = spec_from_split(ProbeFamily.TWO_MODE, split, theta=np.pi / 2, theta1=np.pi,
+                               theta2=np.pi, chi=0.0, tau_in=split.tau_in())
+        distances.append([abs(v - t) for v, t in zip(_normalized(spec, eta, n_total), target)])
+    for component in zip(*distances):
+        assert component[0] > component[1] > component[2], component

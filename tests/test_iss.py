@@ -505,3 +505,8 @@ def test_seesaw_trace_never_decreases_exactly(seed, n, eta):
     cfg = IssConfig(max_iters=80, conv_rel_tol=1e-14, seed=seed)
     trace = optimize(cfg, ChannelParams(0.0, eta, n), Scenario.SINGLE).objective_trace
     assert np.all(np.diff(trace) >= 0)
+
+
+def test_config_rejects_zero_iterations():
+    with pytest.raises(InvalidInput, match="positive"):
+        IssConfig(max_iters=0)

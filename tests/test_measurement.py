@@ -336,3 +336,25 @@ def test_half_photon_variances_decrease_with_energy():
         scaled.append((var_phi * lim.f_phi_max_s12, var_eta * lim.f_eta_max))
     assert scaled[0][0] > scaled[1][0] > scaled[2][0]
     assert scaled[0][1] > scaled[1][1] > scaled[2][1]
+
+
+def test_moments_reject_a_scheme_of_the_other_kind():
+    spec = GaussianProbeSpec(ProbeFamily.TWO_MODE, alpha=1.0, r=0.3, chi=np.pi / 2)
+    ev = evolve_with_derivatives(make_probe(spec), ChannelPoints(0.4, 0.6), 1.0)
+    with pytest.raises(InvalidInput, match="counting scheme"):
+        counting_moments(ev, DetectionScheme(SchemeKind.HOMODYNE, tau_out=0.5, xi=0.3))
+    with pytest.raises(InvalidInput, match="homodyne scheme"):
+        homodyne_moments(ev, DetectionScheme(SchemeKind.COUNTING, tau_out=0.5))
+
+
+def test_detection_inputs_are_validated():
+    counting = DetectionScheme(SchemeKind.COUNTING, tau_out=0.5)
+    with pytest.raises(InvalidInput, match="tau_out"):
+        DetectionScheme(SchemeKind.COUNTING, tau_out=1.5)
+    rho, _, _ = fock_output(FockProbe.fock(Scenario.SINGLE, 1, 3), ChannelParams(0.0, 0.5, 3))
+    with pytest.raises(InvalidInput, match="derivative densities"):
+        counting_moments(rho, counting)
+    with pytest.raises(InvalidInput, match="object"):
+        counting_moments(object(), counting)
+    with pytest.raises(InvalidInput, match="object"):
+        homodyne_moments(object(), DetectionScheme(SchemeKind.HOMODYNE))

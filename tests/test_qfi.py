@@ -428,3 +428,17 @@ def test_single_mode_information_within_channel_bounds(seed, n, eta):
     k = int(rng.integers(0, n + 1))
     f_fock = channel_report(FockProbe.fock(Scenario.SINGLE, k, n), params).f
     assert f_fock[1, 1] == pytest.approx(k / (eta * (1 - eta)), rel=1e-10, abs=1e-12)
+
+
+def test_quantifier_inputs_are_validated():
+    rho, dphi, deta = output_triple(FockProbe.fock(Scenario.SINGLE, 2, 3),
+                                    ChannelParams(0.0, 0.5, 3))
+    heavy = BlockDensity(Scenario.SINGLE, 3, [1.1 * b for b in rho.blocks])
+    with pytest.raises(InvalidState, match="trace"):
+        qfi_matrix(heavy, dphi, deta)
+    with pytest.raises(InvalidInput, match="positive"):
+        probe_quantifier(np.eye(2), 0.0, 1.0)
+    with pytest.warns(RuntimeWarning, match="exceeds 1"):
+        assert probe_quantifier(np.diag([3.0, 3.0]), 1.0, 1.0) == 3.0
+    with pytest.raises(InvalidInput, match="complete_report"):
+        meas_quantifiers(QfiReport(f=np.eye(2), i_phieta=0j))

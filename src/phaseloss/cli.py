@@ -27,6 +27,7 @@ from .channel import ChannelParams, ChannelPoints, Scenario, build_kraus, probe_
 from .errors import (DegenerateChannel, InvalidInput, InvalidState,
                      SingularInformation, Unsupported)
 from .iss import IssConfig, optimize
+from .qfi import QfiReport, complete_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,7 +173,8 @@ def _batch_rows(points, build, evaluate):
     Points go in chunks of gaussian.CHUNK, which keeps memory flat however
     long the sweep.  ``build`` makes one point's input in Python;
     ``evaluate`` turns a list of inputs into (row, progress line) pairs in
-    batched calls, and a failing stage raises for the first point it
+    batched calls (one detection scheme, and one solve per distinct probe,
+    for the whole chunk), and a failing stage raises for the first point it
     rejects, naming it by the exception's ``index``.  The inputs before a
     failure are evaluated again on their own, since they may fail at a
     later stage; whichever row fails first is the one reported, after the
@@ -205,12 +207,12 @@ def _batch_rows(points, build, evaluate):
 
 
 def _fmt(value):
+    if isinstance(value, float):
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 
@@ -317,12 +319,31 @@ def _two_mode_spec(args, n, eta, chi, regime=gauss.Regime.STRONG_DISPLACEMENT,
 
 
 def _evolve_and_report(specs, lims, phi, etas):
-    """Evolve a chunk of specs at phase phi and their transmissivities; returns
-    the evolved stack and its information report weighted by the limits."""
-    channel = ChannelPoints(np.full(len(specs), phi), etas)
-    ev = gauss.evolve_with_derivatives(gauss.make_probe(specs), channel,
-                                       [spec.tau_in for spec in specs])
-    return ev, gauss.evolved_qfi(ev, w=np.array([lim.weights() for lim in lims]))
+    """Evolve a chunk of rows' specs at phase phi and their transmissivities;
+    returns each row's evolved state and its information report weighted by
+    the row's limits.
+
+    Each distinct (spec, eta) is evolved and solved once, and its rows take
+    the result by index, so rows that share a probe share its bits.  A
+    failing point of the distinct stack is reported, through the
+    exception's ``index``, as the first row that uses it.
+    """
+    slots = {}
+    take = np.array([slots.setdefault(key, len(slots)) for key in zip(specs, etas)])
+    distinct_specs, distinct_etas = zip(*slots)
+    try:
+        ev = gauss.evolve_with_derivatives(
+            gauss.make_probe(distinct_specs),
+            ChannelPoints(np.full(len(slots), phi), distinct_etas),
+            [spec.tau_in for spec in distinct_specs])
+        rep = gauss.evolved_qfi(ev)
+    except InvalidInput as exc:
+        if exc.index is not None:
+            exc.index = int(np.argmax(take == exc.index))
+        raise
+    rep = QfiReport(f=rep.f[take], i_phieta=rep.i_phieta[take],
+                    pinv=rep.pinv[take], cond=rep.cond[take])
+    return ev.take(take), complete_report(rep, np.array([lim.weights() for lim in lims]))
 
 
 GAUSSIAN_HEADER = ["n", "eta", "chi", "p", "q", "regime", "tau_in", "mu",
@@ -408,7 +429,6 @@ def _measure_gaussian(args, kind, chi, points):
 
     def build(point):
         n, eta, tau_out, xi = point
-        meas.DetectionScheme(kind, tau_out=tau_out, xi=xi)
         if counting:
             theta1 = theta2 = math.pi
             theta = math.pi / 2.0
@@ -423,9 +443,9 @@ def _measure_gaussian(args, kind, chi, points):
 
     def evaluate(inputs):
         points, specs, lims = zip(*inputs)
-        ev, rep = _evolve_and_report(specs, lims, phi_op, [p[1] for p in points])
-        scheme = meas.DetectionScheme(kind, tau_out=np.array([p[2] for p in points]),
-                                      xi=np.array([p[3] for p in points]))
+        _, etas, tau_outs, xis = zip(*points)
+        scheme = meas.DetectionScheme(kind, tau_out=np.array(tau_outs), xi=np.array(xis))
+        ev, rep = _evolve_and_report(specs, lims, phi_op, etas)
         moments = (meas.counting_moments(ev, scheme) if counting
                    else meas.homodyne_moments(ev, scheme))
         var_phis, var_etas = (v.tolist() for v in meas.error_propagation(moments))

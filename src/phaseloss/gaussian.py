@@ -17,6 +17,7 @@ the first failing point through the exception's ``index``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,10 +35,13 @@ _OMEGA_KRON = np.kron(OMEGA, OMEGA)
 _PHYS_TOL = 1e-9
 _PINV_TOL = 1e-10
 _NORM_TOL = 1e-10     # norm a number-basis truncation may lose
-# points per pass of the information-matrix solve: its 16 x 16 Kronecker
-# systems and their SVDs take about 16 kB a point, so a fixed chunk keeps
-# the memory of a sweep flat however many points it has
-CHUNK = 32
+# points per pass of the information-matrix solve.  Up to six 16 x 16
+# complex arrays of 4 kB a point are alive at once (the Kronecker system,
+# its SVD factors u and vt, and, when only some points take the
+# pseudo-inverse, their copies and the pseudo-inverse itself); under
+# tracemalloc a chunk of random points peaks at about 2.1 MB, so the
+# memory of a sweep stays flat however many points it has
+CHUNK = 96
 
 
 class ProbeFamily(str, Enum):
@@ -262,6 +266,11 @@ class EvolvedGaussian:
     def state(self) -> GaussianState:
         return GaussianState(self.sigma, self.d)
 
+    def take(self, index) -> "EvolvedGaussian":
+        """The points of a stack picked by an index along its leading axis."""
+        return EvolvedGaussian(*(getattr(self, f.name)[index]
+                                 for f in dataclasses.fields(self)))
+
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
@@ -341,7 +350,9 @@ def _solve_psd(mat: np.ndarray, rhs):
         s_p = s[on]
         large = s_p > _PINV_TOL * s_p[:, :1]
         inv_s = np.divide(1.0, s_p, where=large, out=np.zeros_like(s_p))
-        pinv_mat = vt[on].swapaxes(-1, -2) @ (inv_s[..., None] * u[on].swapaxes(-1, -2))
+        u_scaled = u[on].swapaxes(-1, -2)
+        u_scaled *= inv_s[..., None]        # in place: u is not read again
+        pinv_mat = vt[on].swapaxes(-1, -2) @ u_scaled
         for b, x in zip(rhs, sols):
             x[on] = _matvec(pinv_mat, b[on])
     if not pinv.all():
@@ -371,9 +382,12 @@ def _qfi_chunk(sig, dsig_phi, dsig_eta, dd_phi, dd_eta):
     f[:, 0, 0] = entry(vec_phi, sol_phi, dd_phi, inv_dphi)
     f[:, 1, 1] = entry(vec_eta, sol_eta, dd_eta, inv_deta)
     f[:, 0, 1] = f[:, 1, 0] = entry(vec_phi, sol_eta, dd_phi, inv_deta)
-    sandwich = _kron(sig.conj(), OMEGA)
-    sandwich -= _kron(OMEGA, sig)
-    comm = _vdot(sol_eta, _matvec(sandwich, sol_phi))
+    # (conj(sigma) (x) Omega - Omega (x) sigma) vec(X) = vec(Omega X sigma' - sigma X Omega)
+    # for the 4 x 4 matrix X of sol_phi, from 4 x 4 products
+    x_phi = sol_phi.reshape(-1, 4, 4).swapaxes(-1, -2)
+    comm_mat = _OMEGA_DIAG[:, None] * (x_phi @ sig.conj().swapaxes(-1, -2))
+    comm_mat -= (sig @ x_phi) * _OMEGA_DIAG
+    comm = _vdot(sol_eta, _vec(comm_mat))
     comm += 4.0 * _vdot(inv_deta, _OMEGA_DIAG * inv_dphi)
     return f, 1j * comm.imag, pinv_m | pinv_s, np.maximum(cond_m, cond_s)
 
@@ -384,15 +398,17 @@ def evolved_qfi(ev: EvolvedGaussian, w: np.ndarray = None) -> QfiReport:
     Uses the covariance/displacement formulas
         F_ij  = (1/2) vec(d_i sigma)' M^-1 vec(d_j sigma) + 2 d_i d' sigma^-1 d_j d
         M     = conj(sigma) (x) sigma - Omega (x) Omega
-    and the analogous sandwich with Omega replacing one sigma factor for the
-    SLD-commutator term, reported as the full Tr(rho [L_eta, L_phi]) of the
-    covariance formalism (twice the blockwise number-basis convention).
+    and, for the SLD-commutator term, the analogous sandwich with Omega
+    replacing one sigma factor, applied as 4 x 4 products (see _qfi_chunk)
+    and reported as the full Tr(rho [L_eta, L_phi]) of the covariance
+    formalism (twice the blockwise number-basis convention).
     A point whose M or sigma has condition number above 1e10 (a near-pure
     output: eta -> 1, or any pure probe, since the lossless reference mode
     keeps one symplectic mode of the output pure) is solved on its support
     by the pseudo-inverse; the report's ``pinv`` and ``cond`` record this
-    per point.  The stack is solved CHUNK points at a time.  With ``w`` (one
-    matrix or one per point) the scalar bounds are filled in.
+    per point.  The stack is solved CHUNK points at a time, and every solve
+    is pointwise: a point gets the same bits in any stack, alone included.
+    With ``w`` (one matrix or one per point) the scalar bounds are filled in.
     """
     batch = ev.sigma.shape[:-2]
     arrays = [np.reshape(a, (-1,) + a.shape[len(batch):])

@@ -384,6 +384,59 @@ def test_measure_fock_optimizes_each_point_once(monkeypatch):
     assert calls == {(4, 0.3): 1, (4, 0.5): 1}
 
 
+def test_measure_gaussian_solves_each_probe_once(monkeypatch):
+    """A counting probe depends on neither tau_out nor xi, so the sweep solves
+    each (n, eta) once, and the rows that share it share its bits."""
+    sizes = []
+    real_qfi = phaseloss.gaussian.evolved_qfi
+
+    def counted_qfi(ev, *args, **kwargs):
+        sizes.append(len(ev.sigma))
+        return real_qfi(ev, *args, **kwargs)
+
+    monkeypatch.setattr(phaseloss.gaussian, "evolved_qfi", counted_qfi)
+    code, out, _ = run_cli(["measure", "--scheme", "counting", "--tau-out", "0.25,0.5,1",
+                            "--n", "10,100", "--eta", "0.3,0.5"])
+    assert code == 0
+    assert sum(sizes) == 4
+    rows = read_csv(out)
+    assert len(rows) == 12
+    for lo in range(0, 12, 3):
+        probe_rows = rows[lo:lo + 3]
+        assert len({(row["n"], row["eta"]) for row in probe_rows}) == 1
+        assert len({row["r_h_bar"] for row in probe_rows}) == 1
+        assert len({row["var_eta_fmax"] for row in probe_rows}) == 3   # read per row
+
+
+def test_measure_failing_probe_fails_at_its_first_row(monkeypatch):
+    """A failure of the distinct-probe stack is reported at the first row that
+    uses the failing probe: rows 0-2 share probe 0, so probe 1 is row 3."""
+    real_make_probe = phaseloss.gaussian.make_probe
+
+    def failing_make_probe(specs):
+        if len(specs) > 1:
+            raise InvalidInput("probe 1 rejected", index=1)
+        return real_make_probe(specs)
+
+    monkeypatch.setattr(phaseloss.gaussian, "make_probe", failing_make_probe)
+    code, out, err = run_cli(["measure", "--scheme", "counting", "--tau-out", "0.25,0.5,1",
+                              "--n", "10,100", "--eta", "0.5"])
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert [line.split(" tau_out")[0] for line in lines[:-1]] == ["measure n=10 eta=0.5"] * 3
+    assert lines[-1] == "config error: probe 1 rejected"
+
+
+def test_measure_bad_tau_out_fails_at_its_row():
+    code, out, err = run_cli(["measure", "--n", "10,100", "--eta", "0.5",
+                              "--scheme", "counting", "--tau-out", "0.5,1.5"])
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["measure n=10 eta=0.5 tau_out=0.5 xi=0.000",
+                                        "config error: tau_out must lie in [0, 1]"]
+
+
 # ---------------------------------------------------------------------------
 # Gaussian sweeps: one batched evaluation against a row-by-row oracle
 # ---------------------------------------------------------------------------

@@ -94,6 +94,23 @@ def test_batch_matches_point_oracles(seed, n_pts):
                 assert_variance(g[k], w, f"point {k} {label}")
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_pts=st.integers(1, 2 * CHUNK + 7))
+@example(seed=0, n_pts=2 * CHUNK + 7)
+def test_each_point_keeps_its_bits_in_any_stack(seed, n_pts):
+    """F and i_phieta of a point are the bits it gets solved alone, so a sweep
+    may batch and deduplicate its points without moving the rounding noise
+    that an ill-conditioned point reports."""
+    rng = np.random.default_rng(seed)
+    state, phi, eta, tau_in = random_stack(rng, n_pts)
+    ev = evolve_with_derivatives(state, ChannelPoints(phi, eta), tau_in)
+    rep = evolved_qfi(ev)
+    for k in range(n_pts):
+        alone = evolved_qfi(ev.take(k))
+        np.testing.assert_array_equal(rep.f[k], alone.f, err_msg=f"point {k}")
+        np.testing.assert_array_equal(rep.i_phieta[k], alone.i_phieta, err_msg=f"point {k}")
+
+
 def test_single_point_is_the_stack_of_one():
     rng = np.random.default_rng(11)
     spec = random_two_mode_spec(rng)

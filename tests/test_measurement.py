@@ -358,3 +358,16 @@ def test_detection_inputs_are_validated():
         counting_moments(object(), counting)
     with pytest.raises(InvalidInput, match="object"):
         homodyne_moments(object(), DetectionScheme(SchemeKind.HOMODYNE))
+
+
+def test_stacked_scheme_names_its_first_bad_point():
+    with pytest.raises(InvalidInput, match="tau_out") as err:
+        DetectionScheme(SchemeKind.COUNTING, tau_out=np.array([0.5, 1.0, -0.1, 1.5]))
+    assert err.value.index == 2
+    with pytest.raises(InvalidInput, match="xi") as err:
+        DetectionScheme(SchemeKind.HOMODYNE, tau_out=np.full(3, 0.5),
+                        xi=np.array([0.0, np.nan, np.inf]))
+    assert err.value.index == 1
+    with pytest.raises(InvalidInput, match="tau_out") as err:
+        DetectionScheme(SchemeKind.COUNTING, tau_out=1.5)
+    assert err.value.index is None

@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInput
+from .linalg import _tiles
 
 
 class Scenario(str, Enum):
@@ -239,6 +240,12 @@ def _single_mode_output(vecs: np.ndarray, kraus: KrausFamily):
     output is rho = W^T conj(W) and each derivative is shift(G T a)^T conj(W)
     plus its adjoint, shift(G T a) = shift(G) W for the generator table G.
     Returns rho (D, D) and (drho_phi, drho_eta) as (2, D, D), row-major.
+    Each product b is written straight into its slot of the stack, and b'
+    is added in place one pair of tiles (I, J), I <= J, at a time: the sum
+    for (J, I) goes to a tile-sized temporary while (I, J) is summed in
+    place.  Each entry is the same sum b_ij + conj(b_ji) as in b + b' (not
+    the adjoint of its mirror, which would flip the sign of zero imaginary
+    parts), so no D x D array is alive besides the three returned.
     """
     n_pts = vecs.shape[0]
     spectator = (1,) * (vecs.ndim - 2)
@@ -246,9 +253,16 @@ def _single_mode_output(vecs: np.ndarray, kraus: KrausFamily):
     w = shifted.reshape(n_pts, -1)
     w_conj = w.conj()
     drho = np.empty((2, w.shape[1], w.shape[1]), dtype=complex)
+    tiles = _tiles(w.shape[1])
     for out, gens in zip(drho, kraus.generators(shifted=True)):
-        b = (gens.reshape(gens.shape + spectator) * shifted).reshape(n_pts, -1).T @ w_conj
-        np.add(b, b.conj().T, out=out)
+        gw = (gens.reshape(gens.shape + spectator) * shifted).reshape(n_pts, -1)
+        np.matmul(gw.T, w_conj, out=out)
+        del gw                                  # before the next generator's product
+        for k, rows in enumerate(tiles):
+            for cols in tiles[k:]:
+                lower = out[cols, rows] + out[rows, cols].conj().T
+                out[rows, cols] += out[cols, rows].conj().T
+                out[cols, rows] = lower
     return w.T @ w_conj, drho
 
 

@@ -17,11 +17,17 @@ from .errors import InvalidInput, InvalidState
 
 DEFAULT_RANK_TOL = 1e-12
 PSD_TOL = 1e-10
+_TILE = 64          # rows (and columns) of one tile of a D x D pass
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a†)/2."""
     return 0.5 * (a + a.conj().T)
+
+
+def _tiles(dim: int) -> list:
+    """Slices of _TILE consecutive indices covering range(dim), the last one partial."""
+    return [slice(start, start + _TILE) for start in range(0, dim, _TILE)]
 
 
 def support_eig(rho: np.ndarray):
@@ -32,23 +38,33 @@ def support_eig(rho: np.ndarray):
     of the residual update (the default of LAPACK's xPSTRF).  The thin
     SVD L = U s V' then gives the eigenvalues p = s^2, descending, of which
     those above DEFAULT_RANK_TOL p_0 are kept with their columns of U.  The
-    cost is O(D^2 r) for rank r.  Raises InvalidState when a residual
-    diagonal falls below -PSD_TOL or max|rho - L L'| exceeds PSD_TOL (the
-    latter also catches indefinite remainders of zero diagonal).
+    cost is O(D^2 r) for rank r and the working memory O(D r) beyond rho:
+    the factor's buffer holds the rows found so far and doubles when full.
+    Raises InvalidState when a residual diagonal falls below -PSD_TOL or
+    max|rho - L L'| exceeds PSD_TOL (the latter also catches indefinite
+    remainders of zero diagonal); that check runs over row tiles of rho.
     """
     rho = np.asarray(rho)
     if not np.all(np.isfinite(rho)):
         raise InvalidInput("matrix has non-finite entries")
     resid = rho.diagonal().real.copy()
-    rows = np.zeros(rho.shape, dtype=complex)      # row k holds column k of L
-    stop, rank = len(resid) * np.finfo(float).eps * resid.max(initial=0.0), 0
-    while rank < len(resid) and resid.max() > stop:
+    dim = len(resid)
+    rows = np.empty((min(dim, 1), dim), dtype=complex)   # row k holds column k of L
+    stop, rank = dim * np.finfo(float).eps * resid.max(initial=0.0), 0
+    while rank < dim and resid.max() > stop:
         j = int(np.argmax(resid))
         col = (rho[:, j] - rows[:rank].T @ rows[:rank, j].conj()) / np.sqrt(resid[j])
+        if rank == len(rows):
+            grown = np.empty((min(2 * rank, dim), dim), dtype=complex)
+            grown[:rank] = rows
+            rows = grown
         rows[rank], rank = col, rank + 1
         resid -= np.abs(col) ** 2
     factor = rows[:rank].T
-    if resid.min(initial=0.0) < -PSD_TOL or np.abs(rho - factor @ factor.conj().T).max() > PSD_TOL:
+    # |rho - L L'| tile by tile, as |conj(rho) - conj(L) L^T|: no copy of conj(L)
+    if resid.min(initial=0.0) < -PSD_TOL or any(
+            np.abs(rho[t].conj() - factor[t].conj() @ factor.T).max() > PSD_TOL
+            for t in _tiles(dim)):
         raise InvalidState("matrix is not positive semidefinite")
     u, s, _ = npl.svd(factor, full_matrices=False)
     keep = s ** 2 > DEFAULT_RANK_TOL * s[:1] ** 2

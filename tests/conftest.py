@@ -1,16 +1,18 @@
 """Shared oracle helpers: independent routes to the quantities under test."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
                                build_kraus)
+from phaseloss.errors import InvalidInput, InvalidState
 from phaseloss.gaussian import (GaussianProbeSpec, ProbeFamily, fock_truncation,
                                 grid_channel_output, mix_modes)
 from phaseloss.iss import CONV_WINDOW, build_m_matrix, channel_slds
-from phaseloss.linalg import hermitianize
+from phaseloss.linalg import DEFAULT_RANK_TOL, PSD_TOL, hermitianize
 
 
 def kraus_matrix(kraus, m, which=None):
@@ -82,6 +84,40 @@ def descending_eigh(h):
     """Eigenvalues of the Hermitian part of h, descending, and their eigenvectors."""
     vals, vecs = np.linalg.eigh(hermitianize(h))
     return vals[::-1], vecs[:, ::-1]
+
+
+def traced_peak(run):
+    """run() and the peak of its traced allocations, in bytes, above what was
+    allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def support_eig_dense_buffer(rho):
+    """support_eig as first written: a zeroed D x D factor buffer and one
+    full-matrix PSD check; the same pivots, stop and thin SVD otherwise."""
+    rho = np.asarray(rho)
+    if not np.all(np.isfinite(rho)):
+        raise InvalidInput("matrix has non-finite entries")
+    resid = rho.diagonal().real.copy()
+    rows = np.zeros(rho.shape, dtype=complex)      # row k holds column k of L
+    stop, rank = len(resid) * np.finfo(float).eps * resid.max(initial=0.0), 0
+    while rank < len(resid) and resid.max() > stop:
+        j = int(np.argmax(resid))
+        col = (rho[:, j] - rows[:rank].T @ rows[:rank, j].conj()) / np.sqrt(resid[j])
+        rows[rank], rank = col, rank + 1
+        resid -= np.abs(col) ** 2
+    factor = rows[:rank].T
+    if resid.min(initial=0.0) < -PSD_TOL or np.abs(rho - factor @ factor.conj().T).max() > PSD_TOL:
+        raise InvalidState("matrix is not positive semidefinite")
+    u, s, _ = np.linalg.svd(factor, full_matrices=False)
+    keep = s ** 2 > DEFAULT_RANK_TOL * s[:1] ** 2
+    return s[keep] ** 2, u[:, keep]
 
 
 def sld_oracle(rho, drho, rank_tol=1e-12):

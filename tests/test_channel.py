@@ -4,9 +4,11 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (dense, finite_diff_output, kraus_matrix, kraus_sum_output,
-                      single_mode_output_three_shift)
+                      single_mode_output_three_shift, traced_peak)
 from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario, _loss_factors,
                                _single_mode_output, apply_channel,
                                apply_channel_derivatives, beamsplitter_sector,
@@ -14,6 +16,7 @@ from phaseloss.channel import (ChannelParams, ChannelPoints, FockProbe, Scenario
 from phaseloss.errors import InvalidInput
 from phaseloss.gaussian import (GaussianProbeSpec, ProbeFamily, fock_truncation,
                                 grid_channel_output, mix_modes)
+from phaseloss.linalg import _TILE
 
 
 def test_binomial_single_photon():
@@ -293,6 +296,78 @@ def test_spectator_grid_output_shifts_once_bit_identical():
     assert grid.shape[1] > 1
     np.testing.assert_array_equal(rho, ref_rho)
     np.testing.assert_array_equal(np.array([drho_phi, drho_eta]), ref_drho)
+
+
+def assert_output_bits(got, ref):
+    # bytes, not values: a zero imaginary part must keep its sign as well
+    rho, drho = got
+    assert rho.tobytes() == ref[0].tobytes() and drho.tobytes() == ref[1].tobytes()
+    for d in drho:
+        assert np.array_equal(d, d.conj().T)
+
+
+@pytest.mark.parametrize("n", [150, 200])
+def test_single_mode_output_bits_over_many_tiles(n):
+    kraus = build_kraus(ChannelParams(1.1, 0.42, n), Scenario.SINGLE)
+    probe = FockProbe.random(Scenario.SINGLE, n, np.random.default_rng(n))
+    vecs = block_vectors(probe, kraus)
+    assert_output_bits(_single_mode_output(vecs, kraus), single_mode_output_three_shift(vecs, kraus))
+
+
+def test_spectator_output_bits_with_a_partial_tile():
+    spec = GaussianProbeSpec(ProbeFamily.TWO_MODE, alpha=0.6, r=0.3, theta=0.0,
+                             theta1=1.0, theta2=2.0, chi=math.pi / 2)
+    grid = mix_modes(fock_truncation(spec), spec.tau_in)
+    assert grid.size > 2 * _TILE and grid.size % _TILE
+    kraus = build_kraus(ChannelParams(0.7, 0.35, grid.shape[0] - 1), Scenario.SINGLE)
+    vecs = kraus.table[:, :, None] * grid
+    assert_output_bits(_single_mode_output(vecs, kraus), single_mode_output_three_shift(vecs, kraus))
+
+
+def test_grid_channel_output_needs_no_square_temporaries():
+    spec = GaussianProbeSpec(ProbeFamily.TWO_MODE, alpha=0.8, r=0.35, theta=0.0,
+                             theta1=1.0, theta2=2.0, chi=0.0)
+    grid = mix_modes(fock_truncation(spec), spec.tau_in)
+    outputs, peak = traced_peak(lambda: grid_channel_output(grid, ChannelParams(0.7, 0.35, 1)))
+    square = outputs[0].nbytes
+    assert grid.size >= 500
+    assert peak < sum(o.nbytes for o in outputs) + square / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), eta=st.floats(0.01, 0.99),
+       phi=st.floats(-math.pi, math.pi))
+def test_single_mode_channel_keeps_trace_and_covaries_with_phase(seed, n, eta, phi):
+    probe = FockProbe.random(Scenario.SINGLE, n, np.random.default_rng(seed))
+    kraus = build_kraus(ChannelParams(phi, eta, n), Scenario.SINGLE)
+    rho = apply_channel(probe, kraus).blocks[0]
+    dphi, deta = (d.blocks[0] for d in apply_channel_derivatives(probe, kraus))
+    rho0 = apply_channel(probe, build_kraus(ChannelParams(0.0, eta, n), Scenario.SINGLE)).blocks[0]
+    assert_trace_and_phase_covariance(rho, dphi, deta, rho0, np.arange(n + 1), phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), c1=st.integers(1, 30), c2=st.integers(1, 6),
+       eta=st.floats(0.01, 0.99), phi=st.floats(-math.pi, math.pi))
+def test_spectator_channel_keeps_trace_and_covaries_with_phase(seed, c1, c2, eta, phi):
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal((c1 + 1, c2 + 1)) + 1j * rng.standard_normal((c1 + 1, c2 + 1))
+    grid /= np.linalg.norm(grid)
+    rho, dphi, deta = grid_channel_output(grid, ChannelParams(phi, eta, 1))
+    rho0, _, _ = grid_channel_output(grid, ChannelParams(0.0, eta, 1))
+    # row-major (mode 1, mode 2): the phase acts on mode 1's photon number
+    assert_trace_and_phase_covariance(rho, dphi, deta, rho0,
+                                      np.repeat(np.arange(c1 + 1), c2 + 1), phi)
+
+
+def assert_trace_and_phase_covariance(rho, dphi, deta, rho0, photons, phi):
+    # Tr rho = 1, Tr drho = 0, rho(phi) = U rho(0) U' with U = exp(i phi n),
+    # and so drho_phi = i [n, rho]
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert abs(np.trace(dphi)) <= 1e-12 and abs(np.trace(deta)) <= 1e-12
+    u = np.exp(1j * phi * photons)
+    assert np.abs(u[:, None] * rho0 * u.conj() - rho).max() <= 1e-12
+    assert np.abs(1j * (photons[:, None] - photons) * rho - dphi).max() <= 1e-12
 
 
 @pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import support_eig_dense_buffer, traced_peak
 from phaseloss.channel import (ChannelParams, FockProbe, Scenario, apply_channel,
                                apply_channel_derivatives, build_kraus)
 from phaseloss.errors import InvalidInput, InvalidState
@@ -28,6 +29,64 @@ def test_support_eig_matches_eigh_on_the_support():
         np.testing.assert_allclose(p, ref[:rank], rtol=1e-12)
         rebuilt = (u * p) @ u.conj().T
         np.testing.assert_allclose(rebuilt, rho, atol=1e-12 * np.abs(rho).max())
+
+
+def low_rank_density(rng, dim, rank):
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dim", [63, 64, 65, 129, 200])
+@pytest.mark.parametrize("rank", [1, 7, "full"])
+def test_support_eig_matches_eigh_across_tile_edges(dim, rank):
+    # dimensions on either side of one and two 64-row tiles of the PSD check;
+    # either route resolves an eigenvalue only to rounding of the largest, so
+    # the smallest of a full-rank rho (2e-6 p_0 at D = 200) cannot meet
+    # 1e-12 relative to itself
+    rank = dim if rank == "full" else rank
+    rho = low_rank_density(np.random.default_rng(dim + rank), dim, rank)
+    (p, u), ref = support_eig(rho), np.linalg.eigvalsh(rho)[::-1]
+    assert u.shape == (dim, rank)
+    np.testing.assert_allclose(p, ref[:rank], rtol=1e-12, atol=1e-12 * ref[0])
+    np.testing.assert_allclose((u * p) @ u.conj().T, rho, atol=1e-12 * np.abs(rho).max())
+
+
+def test_support_eig_bits_match_the_dense_buffer_oracle():
+    rng = np.random.default_rng(23)
+    for dim, rank in ((5, 2), (64, 9), (97, 30), (130, 3), (211, 64), (256, 1), (300, 17)):
+        rho = low_rank_density(rng, dim, rank)
+        (p, u), (ref_p, ref_u) = support_eig(rho), support_eig_dense_buffer(rho)
+        np.testing.assert_array_equal(p, ref_p)
+        np.testing.assert_array_equal(u, ref_u)
+
+
+def test_support_eig_of_the_zero_matrix_is_empty():
+    p, u = support_eig(np.zeros((130, 130), dtype=complex))
+    assert p.shape == (0,) and u.shape == (130, 0)
+
+
+@pytest.mark.parametrize("pair", [(128, 129), (5, 129)], ids=["last-partial-tile", "straddling"])
+def test_support_eig_tiled_check_sees_an_indefinite_pair(pair):
+    # rho vanishes on rows and columns i, j, so neither is ever a pivot and
+    # the pair (eigenvalues +-1e-6, zero diagonal) leaves every residual
+    # diagonal at rounding level: only max|rho - L L'| can see it
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((130, 3)) + 1j * rng.standard_normal((130, 3))
+    a[list(pair)] = 0.0
+    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    assert len(support_eig(rho)[0]) == 3
+    i, j = pair
+    rho[i, j] = rho[j, i] = 1e-6
+    with pytest.raises(InvalidState):
+        support_eig(rho)
+
+
+def test_support_eig_works_in_less_than_one_square_array():
+    rho = low_rank_density(np.random.default_rng(8), 600, 12)
+    (p, _), peak = traced_peak(lambda: support_eig(rho))
+    assert len(p) == 12
+    assert peak < rho.nbytes
 
 
 @pytest.mark.parametrize("mat", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1e-9]]],

@@ -58,15 +58,22 @@ def _parse_angle(token: str) -> float:
     return value
 
 
+def _nonempty(values):
+    if not values:
+        raise InvalidInput("sweep lists must be non-empty")
+    return values
+
+
 def _parse_floats(text: str):
-    return [_parse_angle(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([_parse_angle(tok) for tok in text.split(",") if tok.strip()])
 
 
 def _parse_ints(text: str):
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InvalidInput(f"malformed integer list {text!r}") from None
+    return _nonempty(values)
 
 
 def load_config_file(path: str) -> dict:
@@ -153,8 +160,6 @@ def _apply_config_file(args: argparse.Namespace, argv) -> argparse.Namespace:
 def _sweep_values(args):
     n_values = _parse_ints(args.n) if args.n else [10]
     eta_values = _parse_floats(args.eta) if args.eta else [0.5]
-    if not n_values or not eta_values:
-        raise InvalidInput("sweep lists must be non-empty")
     for eta in eta_values:
         if not (0.0 < eta < 1.0):
             raise InvalidInput(f"eta must lie in (0, 1), got {eta}")
@@ -174,11 +179,10 @@ def _batch_rows(points, build, evaluate):
     long the sweep.  ``build`` makes one point's input in Python;
     ``evaluate`` turns a list of inputs into (row, progress line) pairs in
     batched calls (one detection scheme, and one solve per distinct probe,
-    for the whole chunk), and a failing stage raises for the first point it
-    rejects, naming it by the exception's ``index``.  The inputs before a
-    failure are evaluated again on their own, since they may fail at a
-    later stage; whichever row fails first is the one reported, after the
-    progress lines of the rows before it.
+    for the whole chunk).  Every stage of ``evaluate`` is pointwise, so when
+    a batch fails, evaluating its inputs one at a time is the row-by-row
+    run: the first row that fails on its own raises, after the progress
+    lines of the rows before it, and a failed ``build`` raises after them.
     """
     rows = []
     for lo in range(0, len(points), gauss.CHUNK):
@@ -189,18 +193,14 @@ def _batch_rows(points, build, evaluate):
             except _ROW_ERRORS as exc:
                 failure = exc
                 break
-        done = []
-        while inputs:
-            try:
-                done = evaluate(inputs)
-                break
-            except (InvalidInput, SingularInformation) as exc:
-                if exc.index is None:
-                    raise
-                inputs, failure = inputs[:exc.index], exc
-        for row, message in done:
-            _progress(message)
-            rows.append(row)
+        try:
+            batches = [evaluate(inputs)] if inputs else []
+        except _ROW_ERRORS:
+            batches = (evaluate([one]) for one in inputs)    # lazily, row by row
+        for done in batches:
+            for row, message in done:
+                _progress(message)
+                rows.append(row)
         if failure is not None:
             raise failure
     return rows
@@ -324,23 +324,16 @@ def _evolve_and_report(specs, lims, phi, etas):
     the row's limits.
 
     Each distinct (spec, eta) is evolved and solved once, and its rows take
-    the result by index, so rows that share a probe share its bits.  A
-    failing point of the distinct stack is reported, through the
-    exception's ``index``, as the first row that uses it.
+    the result by index, so rows that share a probe share its bits.
     """
     slots = {}
     take = np.array([slots.setdefault(key, len(slots)) for key in zip(specs, etas)])
     distinct_specs, distinct_etas = zip(*slots)
-    try:
-        ev = gauss.evolve_with_derivatives(
-            gauss.make_probe(distinct_specs),
-            ChannelPoints(np.full(len(slots), phi), distinct_etas),
-            [spec.tau_in for spec in distinct_specs])
-        rep = gauss.evolved_qfi(ev)
-    except InvalidInput as exc:
-        if exc.index is not None:
-            exc.index = int(np.argmax(take == exc.index))
-        raise
+    ev = gauss.evolve_with_derivatives(
+        gauss.make_probe(distinct_specs),
+        ChannelPoints(np.full(len(slots), phi), distinct_etas),
+        [spec.tau_in for spec in distinct_specs])
+    rep = gauss.evolved_qfi(ev)
     rep = QfiReport(f=rep.f[take], i_phieta=rep.i_phieta[take],
                     pinv=rep.pinv[take], cond=rep.cond[take])
     return ev.take(take), complete_report(rep, np.array([lim.weights() for lim in lims]))

@@ -11,8 +11,7 @@ maximizes it (phase-friendly alignment).
 Probe construction, evolution, the information matrix and the photon
 moments work on stacks: sigma of shape (..., 4, 4) and d of shape (..., 4),
 with the channel point (phi, eta) and tau_in broadcast against the stack.
-A single state is the stack of no points.  Failures of a stacked call name
-the first failing point through the exception's ``index``.
+A single state is the stack of no points.
 """
 
 from __future__ import annotations
@@ -209,8 +208,7 @@ def make_probe(spec) -> GaussianState:
     """Covariance matrix and displacement of the requested pure probe.
 
     ``spec`` is one GaussianProbeSpec, or a sequence of them for a stacked
-    state; an unphysical point raises InvalidInput (with its index for a
-    sequence).
+    state; an unphysical point raises InvalidInput.
     """
     fields = _spec_fields(spec)
     c2r, s2r = fields["cosh_2r"], fields["sinh_2r"]
@@ -225,12 +223,10 @@ def make_probe(spec) -> GaussianState:
     d[..., 0] = disp
     d[..., 2] = np.conj(disp)
     state = GaussianState(sigma, d)
-    unphysical = np.asarray(state.physicality() < -_PHYS_TOL * np.maximum(1.0, c2r))
-    if unphysical.any():
+    if np.any(state.physicality() < -_PHYS_TOL * np.maximum(1.0, c2r)):
         raise InvalidInput(
             "covariance matrix is unphysical; for 0 < chi < pi/2 the phases "
-            "must satisfy theta1 + theta2 = 2*theta +/- pi",
-            index=int(np.argmax(unphysical)) if unphysical.ndim else None)
+            "must satisfy theta1 + theta2 = 2*theta +/- pi")
     return state
 
 

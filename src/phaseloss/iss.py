@@ -21,6 +21,7 @@ up to about 2700.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,11 @@ class IssConfig:
     def __post_init__(self):
         if not 0 < self.conv_rel_tol < math.inf:
             raise InvalidInput("need a finite conv_rel_tol > 0")
+        for name in ("max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if not hasattr(value, "__index__"):
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.max_iters < 1 or self.restarts < 1:
             raise InvalidInput("max_iters and restarts must be positive")
         if self.seed < 0:

@@ -44,9 +44,7 @@ class SchemeKind(str, Enum):
 @dataclass(frozen=True)
 class DetectionScheme:
     """Detection kind with its splitter transmissivity and quadrature phase;
-    tau_out and xi may be arrays, one value per point of a Gaussian stack.
-    A bad stacked value is named by the exception's ``index``, its flat
-    position in the array that holds it."""
+    tau_out and xi may be arrays, one value per point of a Gaussian stack."""
 
     kind: SchemeKind
     tau_out: float = 1.0
@@ -54,14 +52,10 @@ class DetectionScheme:
 
     def __post_init__(self):
         tau = np.asarray(self.tau_out, dtype=float)
-        _reject(~((0.0 <= tau) & (tau <= 1.0)), "tau_out must lie in [0, 1]")
-        _reject(~np.isfinite(self.xi), "xi must be finite")
-
-
-def _reject(bad: np.ndarray, message: str):
-    """Raise InvalidInput naming the first bad value, if any."""
-    if bad.any():
-        raise InvalidInput(message, index=int(np.argmax(bad)) if bad.ndim else None)
+        if not np.all((0.0 <= tau) & (tau <= 1.0)):
+            raise InvalidInput("tau_out must lie in [0, 1]")
+        if not np.all(np.isfinite(self.xi)):
+            raise InvalidInput("xi must be finite")
 
 
 @dataclass(frozen=True)

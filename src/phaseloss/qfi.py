@@ -152,7 +152,7 @@ def _scalar_bounds(f: np.ndarray, w: np.ndarray, i_phieta=None):
 
     C_H_bar is None without ``i_phieta``.  Pointwise over stacks (..., 2, 2);
     raises SingularInformation for the first numerically singular point,
-    with its near-null direction and, for a stack, its flat index.  The test
+    with its near-null direction.  The test
     is scale-free: D^-1 F D^-1, D = sqrt(diag F), has eigenvalues 1 -+ |r|
     with r the correlation F_12 / sqrt(F_11 F_22).
     """
@@ -166,8 +166,7 @@ def _scalar_bounds(f: np.ndarray, w: np.ndarray, i_phieta=None):
         vals, vecs = np.linalg.eigh(f.reshape(-1, 2, 2)[k])
         raise SingularInformation(
             "information matrix is numerically singular",
-            direction=vecs[:, int(np.argmin(np.abs(vals)))],
-            index=k if singular.ndim else None)
+            direction=vecs[:, int(np.argmin(np.abs(vals)))])
     f_inv = np.linalg.inv(f)
     w = np.asarray(w, dtype=float)
     c_s = _point(np.einsum("...ij,...ji->...", w, f_inv))
@@ -184,7 +183,7 @@ def scalar_crb(f: np.ndarray, w: np.ndarray) -> float:
     """Weighted scalar bound Tr(W F^-1), pointwise over stacks (..., 2, 2).
 
     Raises SingularInformation for the first numerically singular point,
-    with its near-null direction and, for a stack, its flat index.
+    with its near-null direction.
     """
     return _scalar_bounds(f, w)[0]
 

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from conftest import (counting_moments_oracle, error_propagation_oracle,
                       evolve_oracle, gaussian_qfi_oracle, homodyne_moments_oracle)
 from phaseloss.bounds import fundamental_limits
 from phaseloss.cli import _parse_angle, main
-from phaseloss.errors import InvalidInput
+from phaseloss.errors import InvalidInput, InvalidState
 from phaseloss.gaussian import (EnergySplit, GaussianProbeSpec, ProbeFamily,
                                 make_probe, spec_from_split)
 from phaseloss.measurement import scheme_incompatibility
@@ -34,6 +37,20 @@ def read_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, f"no rows in output: {text!r}"
     return rows
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--n", "10", "--eta", "0.5"], 0),
+    (["bounds", "--n", "0", "--eta", "0.5"], 2),
+    (["bounds", "--format", "xml"], 2)])
+def test_module_entry_point_exit_codes(argv, code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "phaseloss.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert bool(done.stdout) == (code == 0)
 
 
 def test_bounds_command_values():
@@ -414,8 +431,8 @@ def test_measure_failing_probe_fails_at_its_first_row(monkeypatch):
     real_make_probe = phaseloss.gaussian.make_probe
 
     def failing_make_probe(specs):
-        if len(specs) > 1:
-            raise InvalidInput("probe 1 rejected", index=1)
+        if any(spec.n_total > 50 for spec in specs):     # the n = 100 probe
+            raise InvalidInput("probe 1 rejected")
         return real_make_probe(specs)
 
     monkeypatch.setattr(phaseloss.gaussian, "make_probe", failing_make_probe)
@@ -528,11 +545,13 @@ def test_gaussian_sweeps_match_row_oracle_and_ignore_threads(sweep):
 @pytest.mark.parametrize("failures", [
     {7: "unphysical", 4: "singular"}, {4: "unphysical", 7: "singular"},
     {38: "unphysical", 35: "singular"}, {35: "unphysical", 38: "singular"},
-    {9: "raise", 20: "singular"}, {20: "raise", 9: "singular"}])
+    {9: "raise", 20: "singular"}, {20: "raise", 9: "singular"},
+    {15: "unphysical", 16: "singular"}, {16: "raise", 15: "singular"}])
 def test_gaussian_sweep_reports_first_failing_row(monkeypatch, command, failures):
     """Rows fail at their own stage (spec, probe, information matrix); the
     exit code and message are those of the first failing row, after the
     progress lines of the rows before it, also across a chunk boundary."""
+    monkeypatch.setattr(phaseloss.gaussian, "CHUNK", 16)    # 48 rows: three chunks
     real_spec = phaseloss.gaussian.spec_from_split
     calls = []
 
@@ -563,6 +582,40 @@ def test_gaussian_sweep_reports_first_failing_row(monkeypatch, command, failures
     assert out == ""
     assert lines[-1].startswith(expected[1])
     assert len(lines) == first + 1       # one progress line per row before it
+
+
+def test_gaussian_sweep_unindexed_stage_failure_keeps_earlier_rows(monkeypatch):
+    """A batched stage that fails for the whole stack, naming no point, is
+    reported at the first row that fails on its own."""
+    real_qfi = phaseloss.gaussian.evolved_qfi
+
+    def failing_qfi(ev, *args, **kwargs):
+        if np.any(np.abs(ev.d) > 15):       # only the n = 1000 probe is displaced that far
+            raise InvalidState("output rejected")
+        return real_qfi(ev, *args, **kwargs)
+
+    monkeypatch.setattr(phaseloss.gaussian, "evolved_qfi", failing_qfi)
+    code, out, err = run_cli(["gaussian-scan", "--n", "10,100,1000", "--eta", "0.5"])
+    assert code == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "gaussian-scan n=10 eta=0.5 chi=0.0000", "gaussian-scan n=100 eta=0.5 chi=0.0000"]
+    assert lines[-1] == "numerical failure: output rejected"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian-scan", "--n", ",", "--eta", "0.5"],
+    ["gaussian-scan", "--n", "10", "--eta", ","],
+    ["gaussian-scan", "--n", "10", "--eta", "0.5", "--chi", ","],
+    ["measure", "--n", "10", "--eta", "0.5", "--tau-out", ","],
+    ["measure", "--n", "10", "--eta", "0.5", "--xi", ","]],
+    ids=["n", "eta", "chi", "tau-out", "xi"])
+def test_empty_sweep_list_is_a_config_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "config error: sweep lists must be non-empty"
 
 
 def test_config_line_without_equals_exits_with_config_error(tmp_path):

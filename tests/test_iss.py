@@ -510,3 +510,12 @@ def test_seesaw_trace_never_decreases_exactly(seed, n, eta):
 def test_config_rejects_zero_iterations():
     with pytest.raises(InvalidInput, match="positive"):
         IssConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("name", ["max_iters", "restarts", "seed"])
+def test_config_takes_only_integer_counts(name):
+    with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        IssConfig(**{name: 2.5})
+    cfg = IssConfig(**{name: np.int64(3)})
+    assert type(getattr(cfg, name)) is int
+
